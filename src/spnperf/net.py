@@ -10,7 +10,8 @@ consumed), ``post`` (tokens produced) and ``inh`` (inhibition thresholds,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,6 +110,25 @@ class SpnNet:
     def initial_marking(self) -> Marking:
         return tuple(p.tokens for p in self.places)
 
+    @cached_property
+    def delta(self) -> np.ndarray:
+        """Token change of each firing, ``post - pre``, as (n_transitions, n_places)."""
+        d = (self.post - self.pre).T.copy()
+        d.setflags(write=False)
+        return d
+
+    @cached_property
+    def _kernel_columns(self):
+        # base rates, priorities and the infinite-server transitions that
+        # have input arcs
+        rates = np.array([t.rate for t in self.transitions], dtype=np.float64)
+        prio = np.array([t.priority for t in self.transitions], dtype=np.int64)
+        infinite = np.flatnonzero(
+            np.array([t.semantics == INFINITE_SERVER for t in self.transitions], dtype=bool)
+            & (self.pre > 0).any(axis=0)
+        )
+        return rates, prio, infinite
+
 
 def validate_net(net: SpnNet) -> list[str]:
     """Return the list of invariant violations (empty list means the net is ok)."""
@@ -144,21 +164,43 @@ def validate_net(net: SpnNet) -> list[str]:
     return violations
 
 
-def _check_marking(net: SpnNet, m: Marking) -> np.ndarray:
-    arr = np.asarray(m, dtype=np.int64)
-    if arr.shape != (net.n_places,):
+def enabled_rates(net: SpnNet, markings) -> tuple[np.ndarray, np.ndarray]:
+    """The firing kernel: enabled transitions and their rates for a block of markings.
+
+    ``markings`` is an (F, n_places) integer array.  Returns an (F,
+    n_transitions) boolean mask and an (F, n_transitions) float array of
+    effective rates (0.0 where disabled).  A transition is enabled when every
+    input place holds at least its arc weight and every inhibitor place
+    stays below its threshold; of those, only the ones of maximal priority
+    in the row remain enabled.  Single-server transitions fire at their base
+    rate; infinite-server transitions scale it by the enabling degree (1 for
+    a transition without inputs).
+    """
+    m = np.asarray(markings, dtype=np.int64)
+    if m.ndim != 2 or m.shape[1] != net.n_places:
         raise DimensionError(
-            f"marking length {arr.shape} does not match {net.n_places} places"
+            f"marking block shape {m.shape} does not match {net.n_places} places"
         )
-    return arr
+    base, prio, infinite = net._kernel_columns
+    cube = m[:, :, None]
+    enabled = (cube >= net.pre).all(axis=1)
+    enabled &= ((net.inh == 0) | (cube < net.inh)).all(axis=1)
+    masked = np.where(enabled, prio, -1)
+    enabled &= masked == masked.max(axis=1, keepdims=True, initial=-1)
+    rates = np.where(enabled, base, 0.0)
+    if infinite.size:
+        pre = net.pre[:, infinite]
+        degree = np.where(
+            pre > 0, cube // np.maximum(pre, 1), np.iinfo(np.int64).max
+        ).min(axis=1)
+        rates[:, infinite] = np.where(enabled[:, infinite], base[infinite] * degree, 0.0)
+    return enabled, rates
 
 
-def marking_enabled(net: SpnNet, m: Marking) -> np.ndarray:
-    """Boolean mask of transitions enabled by token counts alone (no priority rule)."""
-    arr = _check_marking(net, m)[:, None]
-    has_tokens = (arr >= net.pre).all(axis=0)
-    not_inhibited = ((net.inh == 0) | (arr < net.inh)).all(axis=0)
-    return has_tokens & not_inhibited
+def _single(net: SpnNet, m: Marking) -> tuple[np.ndarray, np.ndarray]:
+    # the kernel on a one-row block; a wrong marking length fails its check
+    enabled, rates = enabled_rates(net, np.asarray(m, dtype=np.int64).reshape(1, -1))
+    return enabled[0], rates[0]
 
 
 def enabled_transitions(net: SpnNet, m: Marking) -> tuple[int, ...]:
@@ -167,32 +209,20 @@ def enabled_transitions(net: SpnNet, m: Marking) -> tuple[int, ...]:
     Among the marking-enabled transitions only those of maximal priority
     remain enabled (priority masking).
     """
-    mask = marking_enabled(net, m)
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return ()
-    prio = np.array([net.transitions[i].priority for i in idx])
-    return tuple(int(i) for i in idx[prio == prio.max()])
+    return tuple(np.flatnonzero(_single(net, m)[0]).tolist())
+
+
+def _not_enabled(net: SpnNet, m: Marking, t: int) -> NotEnabledError:
+    return NotEnabledError(
+        f"transition {net.transitions[t].name!r} is not enabled in {m}"
+    )
 
 
 def fire(net: SpnNet, m: Marking, t: int) -> Marking:
     """Fire transition ``t`` in marking ``m`` and return the successor marking."""
-    if t not in enabled_transitions(net, m):
-        raise NotEnabledError(
-            f"transition {net.transitions[t].name!r} is not enabled in {m}"
-        )
-    arr = _check_marking(net, m) - net.pre[:, t] + net.post[:, t]
-    assert (arr >= 0).all(), "firing produced a negative token count"
-    return tuple(int(x) for x in arr)
-
-
-def enabling_degree(net: SpnNet, m: Marking, t: int) -> int:
-    """Number of concurrent enablings of ``t`` in ``m`` (1 if ``t`` has no inputs)."""
-    arr = _check_marking(net, m)
-    inputs = np.flatnonzero(net.pre[:, t] > 0)
-    if inputs.size == 0:
-        return 1
-    return int((arr[inputs] // net.pre[inputs, t]).min())
+    if not _single(net, m)[0][t]:
+        raise _not_enabled(net, m, t)
+    return tuple((np.asarray(m, dtype=np.int64) + net.delta[t]).tolist())
 
 
 def rate_at(net: SpnNet, m: Marking, t: int) -> float:
@@ -201,11 +231,7 @@ def rate_at(net: SpnNet, m: Marking, t: int) -> float:
     Single-server transitions fire at their base rate; infinite-server
     transitions scale the base rate by the enabling degree.
     """
-    if t not in enabled_transitions(net, m):
-        raise NotEnabledError(
-            f"transition {net.transitions[t].name!r} is not enabled in {m}"
-        )
-    tr = net.transitions[t]
-    if tr.semantics == INFINITE_SERVER:
-        return tr.rate * enabling_degree(net, m, t)
-    return tr.rate
+    enabled, rates = _single(net, m)
+    if not enabled[t]:
+        raise _not_enabled(net, m, t)
+    return float(rates[t])

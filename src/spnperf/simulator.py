@@ -12,16 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
-from .net import (
-    INFINITE_SERVER,
-    SpnNet,
-    enabled_transitions,
-    enabling_degree,
-)
+from .net import SpnNet, enabled_rates, validate_net
 from .reachability import InvalidNetError
-from .net import validate_net
 
 
 @dataclass(frozen=True)
@@ -44,20 +38,15 @@ class SimulationEstimate:
 
 
 def _marking_info(net: SpnNet, m, cache):
+    # enabled transitions, their mean delays (1/rate), the successor of
+    # each and the marking as an array, computed once per visited marking
     info = cache.get(m)
     if info is None:
-        enabled = enabled_transitions(net, m)
-        rates = np.empty(len(enabled))
-        for k, t in enumerate(enabled):
-            tr = net.transitions[t]
-            rates[k] = tr.rate * (
-                enabling_degree(net, m, t) if tr.semantics == INFINITE_SERVER else 1
-            )
-        deltas = [
-            tuple(int(x) for x in (net.post[:, t] - net.pre[:, t]))
-            for t in enabled
-        ]
-        info = (enabled, 1.0 / rates if len(enabled) else rates, deltas)
+        arr = np.array(m, dtype=np.int64)
+        enabled, rates = enabled_rates(net, arr[None, :])
+        ts = np.flatnonzero(enabled[0])
+        successors = [tuple(row) for row in (arr + net.delta[ts]).tolist()]
+        info = (tuple(ts.tolist()), 1.0 / rates[0, ts], successors, arr)
         cache[m] = info
     return info
 
@@ -91,24 +80,24 @@ def simulate_run(
     deadlocked = False
 
     while now < horizon:
-        enabled, scales, deltas = _marking_info(net, m, cache)
+        enabled, scales, successors, arr = _marking_info(net, m, cache)
         if not enabled:
             deadlocked = True
             span = horizon - max(now, warmup)
             if span > 0:
-                token_time += np.asarray(m) * span
+                token_time += arr * span
             break
         delays = rng.exponential(scales)
-        k = int(np.argmin(delays))
+        k = int(delays.argmin())
         nxt = now + float(delays[k])
         span = min(nxt, horizon) - max(now, warmup)
         if span > 0:
-            token_time += np.asarray(m) * span
+            token_time += arr * span
         if nxt > horizon:
             break
         if nxt > warmup:
             counts[enabled[k]] += 1
-        m = tuple(a + b for a, b in zip(m, deltas[k]))
+        m = successors[k]
         now = nxt
 
     window = horizon - warmup
@@ -159,7 +148,9 @@ def estimate_metrics(
         for i in range(replications)
     ]
     deadlock_runs = sum(r.deadlocked for r in runs)
-    tq = float(scipy.stats.t.ppf(0.975, replications - 1))
+    # the Student-t quantile; scipy.stats gives the same value but costs
+    # most of the CLI's import time
+    tq = float(scipy.special.stdtrit(replications - 1, 0.975))
     out = {}
     for metric in metrics:
         vals = np.array([_metric_value(r, metric) for r in runs])

@@ -70,14 +70,10 @@ class MetricsReport:
 def generator_matrix(ctmc: Ctmc) -> scipy.sparse.csr_matrix:
     """Sparse generator Q. Self-loop edges cancel and are dropped."""
     n = ctmc.n_states
-    rows, cols, vals = [], [], []
-    for s, d, rate, _t in ctmc.edges:
-        if s == d:
-            continue
-        rows.append(s)
-        cols.append(d)
-        vals.append(rate)
-    q = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    keep = ctmc.src != ctmc.dst
+    q = scipy.sparse.coo_matrix(
+        (ctmc.rate[keep], (ctmc.src[keep], ctmc.dst[keep])), shape=(n, n)
+    ).tocsr()
     q = q - scipy.sparse.diags(np.asarray(q.sum(axis=1)).ravel())
     return q.tocsr()
 
@@ -200,15 +196,18 @@ def transition_throughput(ctmc: Ctmc, dist: StationaryDistribution, name: str) -
     """Expected firings of ``name`` per time unit at steady state."""
     _check_dist(ctmc, dist)
     t = ctmc.net.transition_index(name)
-    pi = dist.probabilities
-    return float(sum(pi[s] * rate for s, _d, rate, ti in ctmc.edges if ti == t))
+    # bincount adds each transition's edges in edge order, like a plain sum
+    flows = np.bincount(
+        ctmc.trans, dist.probabilities[ctmc.src] * ctmc.rate, minlength=ctmc.net.n_transitions
+    )
+    return float(flows[t])
 
 
 def mean_token_count(ctmc: Ctmc, dist: StationaryDistribution, name: str) -> float:
     """Expected token count of place ``name`` at steady state."""
     _check_dist(ctmc, dist)
     p = ctmc.net.place_index(name)
-    return float(dist.probabilities @ ctmc.state_array()[:, p])
+    return float(dist.probabilities @ ctmc.markings[:, p])
 
 
 def response_time_little(population: float, throughput: float):

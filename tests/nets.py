@@ -88,3 +88,12 @@ def self_loop_net(rate=1.0):
         [("loop", rate)],
         [("P", "loop", "pre", 1), ("P", "loop", "post", 1)],
     )
+
+
+def deadlock_net():
+    """One token moves a -> b once; (0, 1) is a deadlock."""
+    return simple_net(
+        [("a", 1), ("b", 0)],
+        [("t", 1.0)],
+        [("a", "t", "pre", 1), ("b", "t", "post", 1)],
+    )
