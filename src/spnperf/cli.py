@@ -8,71 +8,57 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import files
-from .monitor import run_loop
-from .pubsub import (
-    FACTOR_NAMES,
-    build_pubsub_net,
-    headline_metrics,
-    set_factor,
-)
-from .reachability import (
-    DEFAULT_MAX_STATES,
-    InvalidNetError,
-    StateExplosionError,
-    explore,
-)
+from .monitor import run_loop, solve_model
+from .pubsub import FACTOR_NAMES, build_pubsub_net, set_factor
+from .reachability import DEFAULT_MAX_STATES, InvalidNetError, StateExplosionError
 from .simulator import estimate_metrics
-from .solver import (
-    ChainStructureError,
-    ConvergenceError,
-    mean_token_count,
-    steady_state,
-    transition_throughput,
-)
+from .solver import DEFAULT_TOL, ChainStructureError, ConvergenceError
+
+# Not called here: perfbench/tracing.py times each layer by patching these
+# names in this module, so they must stay importable from it.
+from .pubsub import headline_metrics  # noqa: F401
+from .reachability import explore  # noqa: F401
+from .solver import mean_token_count, steady_state, transition_throughput  # noqa: F401
 
 SWEEP_HEADER = "factor,accept_publication_rt,notification_rt,states,residual"
 #: pseudo-factor adjusting the receive and send buffers together
 NETWORK_BUFFER = "network_buffer"
 
 
+def _checked(convert, valid, expected):
+    """An argparse ``type`` that converts the text and rejects invalid values."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+
+
 def _analysis_options(parser):
-    parser.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
-    parser.add_argument("--tol", type=float, default=1e-12)
+    parser.add_argument("--max-states", type=_count, default=DEFAULT_MAX_STATES)
+    parser.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
     parser.add_argument("--method", choices=("auto", "direct", "iterative"),
                         default="auto")
 
 
-def _solve_file(kind, model, args):
-    if kind == "params":
-        net = build_pubsub_net(model)
-    else:
-        net = model
-    ctmc = explore(net, max_states=args.max_states)
-    dist = steady_state(ctmc, method=args.method, tol=args.tol)
-    return net, ctmc, dist
-
-
 def cmd_analyze(args) -> int:
-    kind, model = files.load_model_file(args.model)
-    net, ctmc, dist = _solve_file(kind, model, args)
-    if kind == "params":
-        report = headline_metrics(ctmc, dist)
-    else:
-        from .solver import MetricsReport
-
-        report = MetricsReport(
-            transition_throughputs={
-                t.name: transition_throughput(ctmc, dist, t.name)
-                for t in net.transitions
-            },
-            mean_tokens={
-                p.name: mean_token_count(ctmc, dist, p.name) for p in net.places
-            },
-            response_times={},
-        )
+    _kind, model = files.load_model_file(args.model)
+    ctmc, dist, report = solve_model(model, args.max_states, args.tol, args.method)
     doc = files.report_to_document(report)
     doc["states"] = ctmc.n_states
     doc["residual"] = dist.residual
@@ -105,9 +91,7 @@ def cmd_sweep(args) -> int:
             params = set_factor(params, "net_send_buffer", value)
         else:
             params = set_factor(model, factor, value)
-        ctmc = explore(build_pubsub_net(params), max_states=args.max_states)
-        dist = steady_state(ctmc, method=args.method, tol=args.tol)
-        report = headline_metrics(ctmc, dist)
+        ctmc, dist, report = solve_model(params, args.max_states, args.tol, args.method)
         accept = report.response_times["accept_publication_response_time"]
         notify = report.response_times["notification_response_time"]
         row = (
@@ -122,8 +106,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.replications < 2:
-        raise ValueError("--replications must be at least 2")
     kind, model = files.load_model_file(args.model)
     net = build_pubsub_net(model) if kind == "params" else model
     estimate = estimate_metrics(
@@ -135,18 +117,15 @@ def cmd_simulate(args) -> int:
     )
     doc = files.estimate_to_document(estimate)
 
-    analytic = {}
     try:
-        ctmc = explore(net, max_states=args.max_states)
-        dist = steady_state(ctmc)
-        for t in net.transitions:
-            analytic[f"throughput:{t.name}"] = transition_throughput(ctmc, dist, t.name)
-        for p in net.places:
-            analytic[f"mean_tokens:{p.name}"] = mean_token_count(ctmc, dist, p.name)
+        report = solve_model(net, max_states=args.max_states)[2]
     except (StateExplosionError, ChainStructureError, ConvergenceError):
-        analytic = None
-
-    if analytic is not None:
+        pass  # no analytic values: the estimates are printed alone
+    else:
+        analytic = {
+            **{f"throughput:{k}": v for k, v in report.transition_throughputs.items()},
+            **{f"mean_tokens:{k}": v for k, v in report.mean_tokens.items()},
+        }
         for name, entry in doc["metrics"].items():
             value = analytic[name]
             entry["analytic"] = value
@@ -205,19 +184,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="discrete-event estimates vs analytic values")
     p.add_argument("model", help="net document or pub/sub params JSON file")
-    p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--warmup", type=float, default=None)
+    p.add_argument("--horizon", type=_positive, required=True)
+    p.add_argument("--warmup", type=_non_negative, default=None)
     p.add_argument("--replications", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    p.add_argument("--max-states", type=_count, default=DEFAULT_MAX_STATES)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("monitor", help="run the self-optimizing loop over a trace")
     p.add_argument("trace", help="workload trace, JSON Lines")
     p.add_argument("params", help="pub/sub params JSON file")
     p.add_argument("policy", help="monitor policy JSON file")
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--max-states", type=_count, default=DEFAULT_MAX_STATES)
+    p.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_monitor)
 
     p = sub.add_parser("export-net", help="dump a params file as a net document")

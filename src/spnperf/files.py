@@ -61,12 +61,19 @@ def net_to_document(net: SpnNet) -> dict:
     }
 
 
+def _integer(entry: dict, key: str, default: int, what: str) -> int:
+    value = entry.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise FormatError(f"{what} {key} must be an integer, got {value!r}")
+    return value
+
+
 def net_from_document(doc: dict) -> SpnNet:
     _require_keys(doc, ("places", "transitions", "arcs"), what="net document")
     places = []
     for entry in doc["places"]:
         _require_keys(entry, ("name",), ("initial",), what="place")
-        places.append(Place(str(entry["name"]), int(entry.get("initial", 0))))
+        places.append(Place(str(entry["name"]), _integer(entry, "initial", 0, "place")))
     transitions = []
     for entry in doc["transitions"]:
         _require_keys(entry, ("name", "rate"), ("priority", "semantics"), what="transition")
@@ -77,7 +84,7 @@ def net_from_document(doc: dict) -> SpnNet:
             Transition(
                 str(entry["name"]),
                 float(entry["rate"]),
-                int(entry.get("priority", 0)),
+                _integer(entry, "priority", 0, "transition"),
                 semantics,
             )
         )
@@ -87,6 +94,7 @@ def net_from_document(doc: dict) -> SpnNet:
     post = np.zeros_like(pre)
     inh = np.zeros_like(pre)
     mats = {"pre": pre, "post": post, "inhibitor": inh}
+    seen = set()
     for entry in doc["arcs"]:
         _require_keys(entry, ("place", "transition", "kind"), ("weight",), what="arc")
         if entry["kind"] not in mats:
@@ -95,7 +103,13 @@ def net_from_document(doc: dict) -> SpnNet:
             p, t = pidx[entry["place"]], tidx[entry["transition"]]
         except KeyError as exc:
             raise FormatError(f"arc references unknown node {exc.args[0]!r}") from None
-        mats[entry["kind"]][p, t] = int(entry.get("weight", 1))
+        arc = (p, t, entry["kind"])
+        if arc in seen:
+            raise FormatError(
+                f"duplicate {entry['kind']} arc {entry['place']!r} -> {entry['transition']!r}"
+            )
+        seen.add(arc)
+        mats[entry["kind"]][p, t] = _integer(entry, "weight", 1, "arc")
     return SpnNet(tuple(places), tuple(transitions), pre, post, inh)
 
 

@@ -21,7 +21,7 @@ from .pubsub import (
     set_factor,
 )
 from .reachability import DEFAULT_MAX_STATES, explore
-from .solver import MetricsReport, steady_state
+from .solver import DEFAULT_TOL, MetricsReport, chain_metrics, steady_state
 
 GROW_NETWORK_BUFFERS = "grow_network_buffers"
 GROW_BROKER_MEMORY = "grow_broker_memory"
@@ -33,10 +33,6 @@ EXHAUSTED_ACTIONS = "exhausted_actions"
 EVALUATION_FAILED = "evaluation_failed"
 
 _DEFAULT_CAPS = {"net_recv_buffer": 64, "net_send_buffer": 64, "broker_memory": 64}
-
-
-class EvaluationError(SpnError):
-    """Model evaluation failed (explosion, reducible chain or no convergence)."""
 
 
 @dataclass(frozen=True)
@@ -89,16 +85,33 @@ class DecisionRecord:
     outcome: str
 
 
+def solve_model(
+    model,
+    max_states: int = DEFAULT_MAX_STATES,
+    tol: float = DEFAULT_TOL,
+    method: str = "auto",
+):
+    """Explore and solve a model; return ``(ctmc, dist, report)``.
+
+    ``model`` is a ``PubSubParams``, reported by ``headline_metrics``, or an
+    ``SpnNet``, reported by ``chain_metrics``.  This is the only path from
+    a model to its metrics.
+    """
+    is_params = isinstance(model, PubSubParams)
+    ctmc = explore(build_pubsub_net(model) if is_params else model, max_states=max_states)
+    dist = steady_state(ctmc, method=method, tol=tol)
+    report = headline_metrics(ctmc, dist) if is_params else chain_metrics(ctmc, dist)
+    return ctmc, dist, report
+
+
 def evaluate(
     params: PubSubParams,
     max_states: int = DEFAULT_MAX_STATES,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
     method: str = "auto",
 ) -> MetricsReport:
     """Build the net, solve its CTMC and return the headline metrics."""
-    ctmc = explore(build_pubsub_net(params), max_states=max_states)
-    dist = steady_state(ctmc, method=method, tol=tol)
-    return headline_metrics(ctmc, dist)
+    return solve_model(params, max_states, tol, method)[2]
 
 
 def detect_degradation(report: MetricsReport, policy: MonitorPolicy) -> list[str]:
@@ -130,7 +143,6 @@ def _buffers_below_cap(params: PubSubParams, policy: MonitorPolicy) -> bool:
 def next_action(
     params: PubSubParams,
     policy: MonitorPolicy,
-    history: tuple = (),
     qos_level: int | None = None,
 ) -> str | None:
     """First applicable action in policy order, or ``None`` when exhausted."""
@@ -173,7 +185,7 @@ def run_loop(
     params: PubSubParams,
     policy: MonitorPolicy,
     max_states: int = DEFAULT_MAX_STATES,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
 ) -> list[DecisionRecord]:
     """Run the monitoring loop over a workload trace.
 
@@ -190,38 +202,24 @@ def run_loop(
             n_subscribers=snap.n_subscribers,
             n_events=snap.n_events,
         )
-        try:
-            report = evaluate(candidate, max_states=max_states, tol=tol)
-        except SpnError:
-            records.append(
-                DecisionRecord(snap.timestamp, None, None, (), EVALUATION_FAILED)
-            )
-            continue
-
-        before = report
+        before = None
         actions = []
         cand_level = qos_level
-        failed = False
-        while (
-            detect_degradation(report, policy)
-            and len(actions) < policy.max_actions_per_snapshot
-        ):
-            action = next_action(candidate, policy, tuple(actions), cand_level)
-            if action is None:
-                break
-            candidate, cand_level = apply_action(candidate, policy, action, cand_level)
-            actions.append(action)
-            try:
+        try:
+            before = report = evaluate(candidate, max_states=max_states, tol=tol)
+            while (
+                detect_degradation(report, policy)
+                and len(actions) < policy.max_actions_per_snapshot
+            ):
+                action = next_action(candidate, policy, cand_level)
+                if action is None:
+                    break
+                candidate, cand_level = apply_action(candidate, policy, action, cand_level)
+                actions.append(action)
                 report = evaluate(candidate, max_states=max_states, tol=tol)
-            except SpnError:
-                failed = True
-                break
-
-        if failed:
+        except SpnError:
             records.append(
-                DecisionRecord(
-                    snap.timestamp, before, None, tuple(actions), EVALUATION_FAILED
-                )
+                DecisionRecord(snap.timestamp, before, None, tuple(actions), EVALUATION_FAILED)
             )
             continue
 

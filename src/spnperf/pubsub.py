@@ -19,10 +19,13 @@ from .reachability import Ctmc
 from .solver import (
     MetricsReport,
     StationaryDistribution,
-    mean_token_count,
+    chain_metrics,
     response_time_little,
-    transition_throughput,
 )
+
+# Not called here: perfbench/tracing.py times the solver layer by patching
+# these names in this module, so they must stay importable from it.
+from .solver import mean_token_count, transition_throughput  # noqa: F401
 
 _POPULATIONS = ("n_publishers", "n_subscribers", "n_topics", "n_events")
 _RESOURCE_FACTORS = (
@@ -208,7 +211,7 @@ def p_invariants(params: PubSubParams) -> list:
 
 
 def headline_metrics(ctmc: Ctmc, dist: StationaryDistribution) -> MetricsReport:
-    """All throughputs and mean token counts plus the two response times.
+    """``chain_metrics`` plus the two Little's-law response times.
 
     accept_publication_response_time covers a publication from issuance
     until QoS processing completes; notification_response_time covers a
@@ -216,37 +219,22 @@ def headline_metrics(ctmc: Ctmc, dist: StationaryDistribution) -> MetricsReport:
     dominates the acceptance time.  A zero throughput leaves the
     corresponding time undefined (``None``).
     """
-    throughputs = {
-        t.name: transition_throughput(ctmc, dist, t.name) for t in ctmc.net.transitions
-    }
-    tokens = {p.name: mean_token_count(ctmc, dist, p.name) for p in ctmc.net.places}
+    report = chain_metrics(ctmc, dist)
+    tokens = report.mean_tokens
+    publish = report.transition_throughputs["publish"]
+    accepting = tokens["PubRequest"] + tokens["PubAccepted"]
+    notifying = accepting + tokens["PublishedEvent"] + tokens["SubQoSProcessing"]
 
     # zero throughput marks the metric undefined even for an empty pipeline:
     # it signals a dead configuration, not an instantaneous one
-    accept_rt = (
-        response_time_little(
-            tokens["PubRequest"] + tokens["PubAccepted"], throughputs["publish"]
-        )
-        if throughputs["publish"] > 0
-        else None
-    )
-    notify_rt = (
-        response_time_little(
-            tokens["PubRequest"]
-            + tokens["PubAccepted"]
-            + tokens["PublishedEvent"]
-            + tokens["SubQoSProcessing"],
-            throughputs["publish"],
-        )
-        if throughputs["publish"] > 0
-        else None
-    )
-    return MetricsReport(
-        transition_throughputs=throughputs,
-        mean_tokens=tokens,
+    def little(population):
+        return response_time_little(population, publish) if publish > 0 else None
+
+    return dataclasses.replace(
+        report,
         response_times={
-            "accept_publication_response_time": accept_rt,
-            "notification_response_time": notify_rt,
+            "accept_publication_response_time": little(accepting),
+            "notification_response_time": little(notifying),
         },
     )
 

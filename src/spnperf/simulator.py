@@ -131,17 +131,15 @@ def estimate_metrics(
     warmup: float | None = None,
     replications: int = 30,
     base_seed: int = 0,
-    metrics: tuple[str, ...] | None = None,
 ) -> SimulationEstimate:
-    """Independent replications with seeds base_seed .. base_seed+n-1.
+    """Independent replications with seeds base_seed .. base_seed+n-1,
+    estimating every ``default_metrics`` entry.
 
     Half-widths use the Student-t 97.5% quantile with ``replications - 1``
     degrees of freedom.
     """
     if replications < 2:
         raise ValueError("at least 2 replications are required")
-    if metrics is None:
-        metrics = default_metrics(net)
 
     runs = [
         simulate_run(net, horizon, warmup, seed=base_seed + i)
@@ -152,7 +150,7 @@ def estimate_metrics(
     # most of the CLI's import time
     tq = float(scipy.special.stdtrit(replications - 1, 0.975))
     out = {}
-    for metric in metrics:
+    for metric in default_metrics(net):
         vals = np.array([_metric_value(r, metric) for r in runs])
         hw = tq * vals.std(ddof=1) / np.sqrt(replications)
         out[metric] = (float(vals.mean()), float(hw))

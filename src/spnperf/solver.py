@@ -192,22 +192,42 @@ def _check_dist(ctmc: Ctmc, dist: StationaryDistribution):
         raise ValueError("distribution does not match the chain")
 
 
+def _flows(ctmc: Ctmc, dist: StationaryDistribution) -> np.ndarray:
+    # bincount adds each transition's edges in edge order, like a plain sum
+    return np.bincount(
+        ctmc.trans, dist.probabilities[ctmc.src] * ctmc.rate, minlength=ctmc.net.n_transitions
+    )
+
+
+def _tokens(ctmc: Ctmc, dist: StationaryDistribution, p: int) -> float:
+    # one column at a time: ``pi @ markings`` as one product may round
+    # differently in the last bit
+    return float(dist.probabilities @ ctmc.markings[:, p])
+
+
+def chain_metrics(ctmc: Ctmc, dist: StationaryDistribution) -> MetricsReport:
+    """Every transition's throughput and every place's mean token count."""
+    _check_dist(ctmc, dist)
+    net = ctmc.net
+    return MetricsReport(
+        transition_throughputs=dict(
+            zip((t.name for t in net.transitions), _flows(ctmc, dist).tolist())
+        ),
+        mean_tokens={p.name: _tokens(ctmc, dist, i) for i, p in enumerate(net.places)},
+        response_times={},
+    )
+
+
 def transition_throughput(ctmc: Ctmc, dist: StationaryDistribution, name: str) -> float:
     """Expected firings of ``name`` per time unit at steady state."""
     _check_dist(ctmc, dist)
-    t = ctmc.net.transition_index(name)
-    # bincount adds each transition's edges in edge order, like a plain sum
-    flows = np.bincount(
-        ctmc.trans, dist.probabilities[ctmc.src] * ctmc.rate, minlength=ctmc.net.n_transitions
-    )
-    return float(flows[t])
+    return float(_flows(ctmc, dist)[ctmc.net.transition_index(name)])
 
 
 def mean_token_count(ctmc: Ctmc, dist: StationaryDistribution, name: str) -> float:
     """Expected token count of place ``name`` at steady state."""
     _check_dist(ctmc, dist)
-    p = ctmc.net.place_index(name)
-    return float(dist.probabilities @ ctmc.markings[:, p])
+    return _tokens(ctmc, dist, ctmc.net.place_index(name))
 
 
 def response_time_little(population: float, throughput: float):

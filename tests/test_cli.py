@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +68,39 @@ def test_unknown_keys_rejected():
     net_doc["extra"] = []
     with pytest.raises(files.FormatError):
         files.net_from_document(net_doc)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("places", "initial", 1.7),
+        ("arcs", "weight", 2.9),
+        ("transitions", "priority", True),
+        ("arcs", "weight", True),
+    ],
+)
+def test_net_document_counts_must_be_json_integers(tmp_path, capsys, section, key, value):
+    doc = files.net_to_document(mm1k_net(1.0, 2.0, 2))
+    doc[section][0][key] = value
+    with pytest.raises(files.FormatError, match=key):
+        files.net_from_document(doc)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    code, _out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert key in err
+
+
+def test_net_document_rejects_duplicate_arc(tmp_path, capsys):
+    doc = files.net_to_document(mm1k_net(1.0, 2.0, 2))
+    doc["arcs"].append(dict(doc["arcs"][0], weight=2))
+    with pytest.raises(files.FormatError, match="duplicate"):
+        files.net_from_document(doc)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    code, _out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert "duplicate" in err
 
 
 def test_trace_parsing_and_ordering():
@@ -191,6 +228,69 @@ def test_simulate_single_replication_exits_2(params_file, capsys):
     assert code == 2
 
 
+# -- option validation --------------------------------------------------
+
+def parse_error(capsys, *argv):
+    # argparse rejects the value before any file is read: exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+def monitor_argv(tmp_path, params_file):
+    trace = write_trace(tmp_path, [{"t": 1.0, "publishers": 2, "subscribers": 2, "events": 3}])
+    return ("monitor", trace, params_file, write_policy(tmp_path))
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_tol_must_be_finite_and_positive(tmp_path, params_file, capsys, value):
+    for argv in (("analyze", params_file), monitor_argv(tmp_path, params_file)):
+        err = parse_error(capsys, *argv, "--tol", value)
+        assert "--tol" in err
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_max_states_must_be_at_least_1(tmp_path, params_file, capsys, value):
+    for argv in (
+        ("analyze", params_file),
+        ("sweep", params_file, "--factor", "broker_memory", "--values", "1"),
+        ("simulate", params_file, "--horizon", "10", "--replications", "2"),
+        monitor_argv(tmp_path, params_file),
+    ):
+        err = parse_error(capsys, *argv, "--max-states", value)
+        assert "--max-states" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_horizon_must_be_finite_and_positive(params_file, capsys, value):
+    err = parse_error(capsys, "simulate", params_file, "--horizon", value)
+    assert "--horizon" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_warmup_must_be_finite_and_non_negative(params_file, capsys, value):
+    err = parse_error(capsys, "simulate", params_file, "--horizon", "10", "--warmup", value)
+    assert "--warmup" in err
+
+
+def test_infinite_horizon_exits_2_without_simulating(params_file):
+    # a simulation with an infinite horizon never ends, so run the CLI in a
+    # child process that fails the test by timing out instead of hanging it
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    out = subprocess.run(
+        [sys.executable, "-m", "spnperf.cli", "simulate", params_file,
+         "--horizon", "inf", "--warmup", "0"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 2
+    assert "--horizon" in out.stderr
+
+
 # -- monitor ------------------------------------------------------------
 
 def write_policy(tmp_path, **overrides):
@@ -261,3 +361,33 @@ def test_export_net_round_trips(params_file, capsys):
     assert net.transitions == reference.transitions
     assert (net.pre == reference.pre).all()
     assert (net.post == reference.post).all()
+
+
+# -- one metrics path ---------------------------------------------------
+
+def test_params_net_and_simulate_print_the_same_analytic_values(tmp_path, params_file, capsys):
+    # the params document, its exported net and simulate's analytic column
+    # all come from one solve and one metrics function
+    code, by_params, _ = run_cli(capsys, "analyze", params_file)
+    assert code == 0
+    by_params = json.loads(by_params)
+    code, exported, _ = run_cli(capsys, "export-net", params_file)
+    assert code == 0
+    net_path = tmp_path / "net.json"
+    net_path.write_text(exported)
+    code, by_net, _ = run_cli(capsys, "analyze", str(net_path))
+    assert code == 0
+    by_net = json.loads(by_net)
+    for key in ("transition_throughputs", "mean_tokens", "states", "residual"):
+        assert by_net[key] == by_params[key], key
+
+    code, out, _ = run_cli(
+        capsys, "simulate", params_file, "--horizon", "20", "--replications", "2"
+    )
+    assert code == 0
+    metrics = json.loads(out)["metrics"]
+    expected = {
+        **{f"throughput:{k}": v for k, v in by_params["transition_throughputs"].items()},
+        **{f"mean_tokens:{k}": v for k, v in by_params["mean_tokens"].items()},
+    }
+    assert {name: entry["analytic"] for name, entry in metrics.items()} == expected

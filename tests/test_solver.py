@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from spnperf.reachability import explore
+from spnperf.pubsub import PubSubParams, build_pubsub_net, headline_metrics
 from spnperf.solver import (
     ChainStructureError,
+    chain_metrics,
     mean_token_count,
     response_time_little,
     state_predicate_probability,
@@ -66,6 +68,24 @@ def test_unknown_names_raise_lookup_errors():
         transition_throughput(ctmc, dist, "nope")
     with pytest.raises(KeyError):
         mean_token_count(ctmc, dist, "nope")
+
+
+def test_chain_metrics_equal_the_per_name_lookups():
+    for net in (mm1k_net(1.0, 2.0, 5), producer_consumer_net(), build_pubsub_net(PubSubParams())):
+        ctmc = explore(net)
+        dist = steady_state(ctmc)
+        report = chain_metrics(ctmc, dist)
+        assert report.transition_throughputs == {
+            t.name: transition_throughput(ctmc, dist, t.name) for t in net.transitions
+        }
+        assert report.mean_tokens == {
+            p.name: mean_token_count(ctmc, dist, p.name) for p in net.places
+        }
+        assert report.response_times == {}
+    # the pub/sub model, last above, adds only its two response times
+    headline = headline_metrics(ctmc, dist)
+    assert headline.transition_throughputs == report.transition_throughputs
+    assert headline.mean_tokens == report.mean_tokens
 
 
 def test_mean_tokens_closed_form():
