@@ -61,10 +61,13 @@ def net_to_document(net: SpnNet) -> dict:
     }
 
 
-def _integer(entry: dict, key: str, default: int, what: str) -> int:
+_KINDS = {int: "an integer", (int, float): "a number", str: "a string"}
+
+
+def _typed(entry: dict, key: str, default, what: str, kind=int):
     value = entry.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise FormatError(f"{what} {key} must be an integer, got {value!r}")
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise FormatError(f"{what} {key} must be {_KINDS[kind]}, got {value!r}")
     return value
 
 
@@ -73,7 +76,9 @@ def net_from_document(doc: dict) -> SpnNet:
     places = []
     for entry in doc["places"]:
         _require_keys(entry, ("name",), ("initial",), what="place")
-        places.append(Place(str(entry["name"]), _integer(entry, "initial", 0, "place")))
+        places.append(
+            Place(_typed(entry, "name", None, "place", str), _typed(entry, "initial", 0, "place"))
+        )
     transitions = []
     for entry in doc["transitions"]:
         _require_keys(entry, ("name", "rate"), ("priority", "semantics"), what="transition")
@@ -82,9 +87,9 @@ def net_from_document(doc: dict) -> SpnNet:
             raise FormatError(f"unknown semantics {semantics!r}")
         transitions.append(
             Transition(
-                str(entry["name"]),
-                float(entry["rate"]),
-                _integer(entry, "priority", 0, "transition"),
+                _typed(entry, "name", None, "transition", str),
+                float(_typed(entry, "rate", None, "transition", (int, float))),
+                _typed(entry, "priority", 0, "transition"),
                 semantics,
             )
         )
@@ -109,7 +114,7 @@ def net_from_document(doc: dict) -> SpnNet:
                 f"duplicate {entry['kind']} arc {entry['place']!r} -> {entry['transition']!r}"
             )
         seen.add(arc)
-        mats[entry["kind"]][p, t] = _integer(entry, "weight", 1, "arc")
+        mats[entry["kind"]][p, t] = _typed(entry, "weight", 1, "arc")
     return SpnNet(tuple(places), tuple(transitions), pre, post, inh)
 
 
@@ -158,6 +163,8 @@ def policy_from_document(doc: dict) -> MonitorPolicy:
         "initial_qos_level",
     )
     _require_keys(doc, required, optional, what="policy document")
+    for key in ("step", "max_actions_per_snapshot"):  # optional integers
+        _typed(doc, key, 0, "policy document")
     kwargs = dict(doc)
     if "action_order" in kwargs:
         kwargs["action_order"] = tuple(kwargs["action_order"])
@@ -180,17 +187,15 @@ def read_trace(lines) -> list[WorkloadSnapshot]:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"trace line {lineno}: not valid JSON ({exc})") from exc
-        _require_keys(doc, ("t", "publishers", "subscribers", "events"),
-                      what=f"trace line {lineno}")
+        what = f"trace line {lineno}"
+        _require_keys(doc, ("t", "publishers", "subscribers", "events"), what=what)
+        counts = [_typed(doc, key, None, what) for key in ("publishers", "subscribers", "events")]
         try:
-            snap = WorkloadSnapshot(
-                float(doc["t"]), int(doc["publishers"]),
-                int(doc["subscribers"]), int(doc["events"]),
-            )
+            snap = WorkloadSnapshot(float(_typed(doc, "t", None, what, (int, float))), *counts)
         except ValueError as exc:
-            raise FormatError(f"trace line {lineno}: {exc}") from exc
+            raise FormatError(f"{what}: {exc}") from exc
         if last_t is not None and snap.timestamp <= last_t:
-            raise FormatError(f"trace line {lineno}: timestamps must strictly increase")
+            raise FormatError(f"{what}: timestamps must strictly increase")
         last_t = snap.timestamp
         snapshots.append(snap)
     return snapshots

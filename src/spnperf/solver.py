@@ -2,8 +2,9 @@
 
 The generator Q has summed edge rates off the diagonal and diagonal
 entries making each row sum to zero.  Small chains are solved directly
-by GTH state elimination; larger chains fall back to Gauss-Seidel
-sweeps on pi*Q = 0 with renormalization.
+by GTH elimination inside the band of Q in reverse Cuthill-McKee order;
+larger chains fall back to Gauss-Seidel sweeps on pi*Q = 0 with
+renormalization.  A non-finite result is never returned.
 """
 
 from __future__ import annotations
@@ -106,28 +107,40 @@ def _residual(pi: np.ndarray, q) -> float:
 def _solve_direct(q, tol: float, block: int = 32) -> tuple[np.ndarray, int]:
     # GTH state elimination.  Every operation adds, multiplies or divides
     # non-negative rates -- no cancellation -- so the probabilities keep
-    # componentwise relative accuracy even deep in the tail of the chain.
-    # Elimination is blocked: rank-1 updates are applied eagerly inside a
-    # block and to the block's rows and columns, and the remaining leading
-    # submatrix is updated once per block with a matrix product.
-    a = q.toarray()
+    # componentwise relative accuracy in any elimination order (O'Cinneide
+    # 1993).  In reverse Cuthill-McKee order Q has half-bandwidth b, so
+    # eliminating state k touches only [k - b, k): no fill, O(n b^2) work.
+    # Rank-1 updates are applied eagerly inside a block of states and to
+    # its rows and columns; the window left of it takes one matrix product.
+    perm = scipy.sparse.csgraph.reverse_cuthill_mckee(abs(q) + abs(q.T), symmetric_mode=True)
+    qp = q[perm][:, perm].tocoo()
+    b = int(np.abs(qp.row - qp.col).max())
+    a = qp.toarray()
     n = a.shape[0]
     np.fill_diagonal(a, 0.0)
     hi = n
     while hi > 1:
         lo = max(hi - block, 1)
+        w0 = max(lo - b, 0)
         for k in range(hi - 1, lo - 1, -1):
-            a[:k, k] /= a[k, :k].sum()
+            w = max(k - b, 0)
+            a[w:k, k] /= a[k, w:k].sum()
             bk = slice(lo, k)
-            a[bk, :k] += np.outer(a[bk, k], a[k, :k])
-            a[:lo, bk] += np.outer(a[:lo, k], a[k, bk])
-        a[:lo, :lo] += a[:lo, lo:hi] @ a[lo:hi, :lo]
+            a[bk, w:k] += np.outer(a[bk, k], a[k, w:k])
+            a[w0:lo, bk] += np.outer(a[w0:lo, k], a[k, bk])
+        a[w0:lo, w0:lo] += a[w0:lo, lo:hi] @ a[lo:hi, w0:lo]
         hi = lo
+    # x multiplies probability ratios: rescale it (exactly) before it overflows
     x = np.empty(n)
     x[0] = 1.0
     for k in range(1, n):
-        x[k] = x[:k] @ a[:k, k]
-    return x / x.sum(), 0
+        w = max(k - b, 0)
+        x[k] = x[w:k] @ a[w:k, k]
+        if x[k] > 2.0**500:
+            x[: k + 1] *= 2.0**-500
+    pi = np.empty(n)
+    pi[perm] = x / x.sum()
+    return pi, 0
 
 
 def _solve_gauss_seidel(q, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
@@ -182,7 +195,7 @@ def steady_state(
         raise ConvergenceError(_residual(pi, q), iters)
     pi = pi / pi.sum()
     res = _residual(pi, q)
-    if res > tol:
+    if not res <= tol:  # also refuses a NaN residual or probability
         raise ConvergenceError(res, iters)
     return StationaryDistribution(pi, res, method, iters)
 

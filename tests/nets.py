@@ -1,5 +1,7 @@
 """Small nets shared across the test suite."""
 
+import math
+
 import numpy as np
 
 from spnperf.net import Place, SpnNet, Transition, SINGLE_SERVER
@@ -51,6 +53,18 @@ def mm1k_pi(lam, mu, k):
     rho = lam / mu
     pis = np.array([rho**n for n in range(k + 1)], dtype=float)
     return pis / pis.sum()
+
+
+def mm1k_log_pi(lam, mu, k):
+    """Natural log of the M/M/1/K distribution, computed in log space.
+
+    ``mm1k_pi`` forms ``rho**n``, which overflows for large K with rho > 1;
+    here the weights are scaled by the largest before they are summed, so
+    stiff tails (M/M/1/1900, rho = 1.5) neither overflow nor underflow.
+    """
+    log_w = np.arange(k + 1) * math.log(lam / mu)
+    log_w -= log_w.max()
+    return log_w - math.log(np.exp(log_w).sum())
 
 
 def producer_consumer_net():

@@ -4,9 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from spnperf import files
+from spnperf import files, solver
 from spnperf.cli import SWEEP_HEADER, main
 from spnperf.pubsub import PubSubParams, build_pubsub_net
 from nets import mm1k_net, producer_consumer_net, simple_net
@@ -391,3 +392,89 @@ def test_params_net_and_simulate_print_the_same_analytic_values(tmp_path, params
         **{f"mean_tokens:{k}": v for k, v in by_params["mean_tokens"].items()},
     }
     assert {name: entry["analytic"] for name, entry in metrics.items()} == expected
+
+
+# -- JSON types in every loader -------------------------------------------
+
+def write_doc(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("transitions", "rate", True),
+        ("transitions", "rate", "2.0"),
+        ("transitions", "name", 7),
+        ("places", "name", 7),
+    ],
+)
+def test_net_document_rate_and_names_are_not_coerced(tmp_path, capsys, section, key, value):
+    doc = files.net_to_document(mm1k_net(1.0, 2.0, 2))
+    doc[section][0][key] = value
+    with pytest.raises(files.FormatError, match=key):
+        files.net_from_document(doc)
+    code, _out, err = run_cli(capsys, "analyze", write_doc(tmp_path, doc))
+    assert code == 2
+    assert key in err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("step", 2.5), ("max_actions_per_snapshot", 1.5), ("step", True)]
+)
+def test_policy_counts_must_be_json_integers(tmp_path, params_file, capsys, key, value):
+    doc = {
+        "max_accept_publication_response_time": 2.8,
+        "max_notification_response_time": 3.7,
+        key: value,
+    }
+    with pytest.raises(files.FormatError, match=key):
+        files.policy_from_document(doc)
+    trace = write_trace(tmp_path, [{"t": 1.0, "publishers": 2, "subscribers": 2, "events": 3}])
+    code, _out, err = run_cli(capsys, "monitor", trace, params_file, write_doc(tmp_path, doc))
+    assert code == 2
+    assert key in err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("publishers", 2.9), ("subscribers", True), ("events", 3.5), ("t", "1.0")]
+)
+def test_trace_fields_are_not_coerced(tmp_path, params_file, capsys, key, value):
+    row = {"t": 1.0, "publishers": 2, "subscribers": 2, "events": 3, key: value}
+    with pytest.raises(files.FormatError, match=key):
+        files.read_trace([json.dumps(row)])
+    trace = write_trace(tmp_path, [row])
+    code, _out, err = run_cli(capsys, "monitor", trace, params_file, write_policy(tmp_path))
+    assert code == 2
+    assert key in err
+
+
+# -- the printed numbers are finite -----------------------------------------
+
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-finite number {constant} in output")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_analyze_prints_finite_json_for_a_stiff_tail(tmp_path, capsys):
+    # M/M/1/1900 with rho = 1.5: pi spans about 335 orders of magnitude
+    code, out, _ = run_cli(capsys, "analyze", write_net(tmp_path, mm1k_net(3.0, 2.0, 1900)))
+    assert code == 0
+    doc = strict_json(out)
+    assert doc["states"] == 1901
+    # in steady state the server is busy except in the empty queue
+    assert doc["transition_throughputs"]["serve"] == pytest.approx(2.0, rel=1e-12)
+
+
+def test_non_finite_distribution_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        solver, "_solve_direct", lambda q, tol: (np.full(q.shape[0], np.nan), 0)
+    )
+    code, out, err = run_cli(capsys, "analyze", write_net(tmp_path, mm1k_net(1.0, 2.0, 3)))
+    assert code == 3
+    assert out == ""
+    assert "no convergence" in err
