@@ -13,7 +13,7 @@ import sys
 
 from . import files
 from .monitor import run_loop, solve_model
-from .pubsub import FACTOR_NAMES, build_pubsub_net, set_factor
+from .pubsub import FACTOR_NAMES, NETWORK_BUFFERS, PubSubParams, build_pubsub_net, set_factor
 from .reachability import DEFAULT_MAX_STATES, InvalidNetError, StateExplosionError
 from .simulator import estimate_metrics
 from .solver import DEFAULT_TOL, ChainStructureError, ConvergenceError
@@ -52,13 +52,17 @@ _non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite
 def _analysis_options(parser):
     parser.add_argument("--max-states", type=_count, default=DEFAULT_MAX_STATES)
     parser.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
-    parser.add_argument("--method", choices=("auto", "direct", "iterative"),
-                        default="auto")
+
+
+def _load_params(path, command: str) -> PubSubParams:
+    model = files.load_model_file(path)
+    if not isinstance(model, PubSubParams):
+        raise files.FormatError(f"{command} requires a pub/sub params file")
+    return model
 
 
 def cmd_analyze(args) -> int:
-    _kind, model = files.load_model_file(args.model)
-    ctmc, dist, report = solve_model(model, args.max_states, args.tol, args.method)
+    ctmc, dist, report = solve_model(files.load_model_file(args.model), args.max_states, args.tol)
     doc = files.report_to_document(report)
     doc["states"] = ctmc.n_states
     doc["residual"] = dist.residual
@@ -74,24 +78,21 @@ def _parse_values(factor: str, text: str):
 
 
 def cmd_sweep(args) -> int:
-    kind, model = files.load_model_file(args.model)
-    if kind != "params":
-        raise files.FormatError("sweep requires a pub/sub params file")
+    model = _load_params(args.model, "sweep")
     factor = args.factor
     if factor != NETWORK_BUFFER and factor not in FACTOR_NAMES:
         raise ValueError(
             f"unknown factor {factor!r}; expected {NETWORK_BUFFER!r} or one of {FACTOR_NAMES}"
         )
     values = _parse_values(factor, args.values)
+    factors = NETWORK_BUFFERS if factor == NETWORK_BUFFER else (factor,)
 
     print(SWEEP_HEADER)
     for value in values:
-        if factor == NETWORK_BUFFER:
-            params = set_factor(model, "net_recv_buffer", value)
-            params = set_factor(params, "net_send_buffer", value)
-        else:
-            params = set_factor(model, factor, value)
-        ctmc, dist, report = solve_model(params, args.max_states, args.tol, args.method)
+        params = model
+        for name in factors:
+            params = set_factor(params, name, value)
+        ctmc, dist, report = solve_model(params, args.max_states, args.tol)
         accept = report.response_times["accept_publication_response_time"]
         notify = report.response_times["notification_response_time"]
         row = (
@@ -106,8 +107,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    kind, model = files.load_model_file(args.model)
-    net = build_pubsub_net(model) if kind == "params" else model
+    model = files.load_model_file(args.model)
+    net = build_pubsub_net(model) if isinstance(model, PubSubParams) else model
     estimate = estimate_metrics(
         net,
         horizon=args.horizon,
@@ -139,15 +140,8 @@ def cmd_simulate(args) -> int:
 def cmd_monitor(args) -> int:
     with open(args.trace) as fh:
         trace = files.read_trace(fh)
-    kind, model = files.load_model_file(args.params)
-    if kind != "params":
-        raise files.FormatError("monitor requires a pub/sub params file")
-    with open(args.policy) as fh:
-        try:
-            policy_doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise files.FormatError(f"{args.policy}: not valid JSON ({exc})") from exc
-    policy = files.policy_from_document(policy_doc)
+    model = _load_params(args.params, "monitor")
+    policy = files.policy_from_document(files.load_json(args.policy))
     records = run_loop(trace, model, policy, max_states=args.max_states, tol=args.tol)
     for record in records:
         print(json.dumps(files.decision_record_to_document(record), sort_keys=True))
@@ -155,9 +149,7 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_export_net(args) -> int:
-    kind, model = files.load_model_file(args.params)
-    if kind != "params":
-        raise files.FormatError("export-net requires a pub/sub params file")
+    model = _load_params(args.params, "export-net")
     print(json.dumps(files.net_to_document(build_pubsub_net(model)), indent=2))
     return 0
 

@@ -61,12 +61,14 @@ def net_to_document(net: SpnNet) -> dict:
     }
 
 
-_KINDS = {int: "an integer", (int, float): "a number", str: "a string"}
+_KINDS = {int: "an integer", (int, float): "a number", str: "a string", bool: "a boolean",
+          dict: "an object"}
 
 
 def _typed(entry: dict, key: str, default, what: str, kind=int):
     value = entry.get(key, default)
-    if not isinstance(value, kind) or isinstance(value, bool):
+    # JSON true and false are Python ints: only a bool key takes them
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
         raise FormatError(f"{what} {key} must be {_KINDS[kind]}, got {value!r}")
     return value
 
@@ -135,16 +137,21 @@ def params_from_document(doc: dict) -> PubSubParams:
         raise FormatError(f"bad params document: {exc}") from exc
 
 
-def load_model_file(path):
-    """Read a model file; returns ("net", SpnNet) or ("params", PubSubParams)."""
+def load_json(path):
+    """Read one JSON document from a file."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def load_model_file(path) -> SpnNet | PubSubParams:
+    """Read a model file: a net document or a pub/sub params document."""
+    doc = load_json(path)
     if isinstance(doc, dict) and "places" in doc:
-        return "net", net_from_document(doc)
-    return "params", params_from_document(doc)
+        return net_from_document(doc)
+    return params_from_document(doc)
 
 
 # -- policy and trace ---------------------------------------------------
@@ -162,9 +169,16 @@ def policy_from_document(doc: dict) -> MonitorPolicy:
         "max_actions_per_snapshot",
         "initial_qos_level",
     )
-    _require_keys(doc, required, optional, what="policy document")
-    for key in ("step", "max_actions_per_snapshot"):  # optional integers
-        _typed(doc, key, 0, "policy document")
+    what = "policy document"
+    _require_keys(doc, required, optional, what=what)
+    for key in required:
+        _typed(doc, key, None, what, (int, float))
+    for key in ("step", "max_actions_per_snapshot", "initial_qos_level"):
+        _typed(doc, key, 0, what)
+    _typed(doc, "qos_reduction_allowed", False, what, bool)
+    caps = _typed(doc, "caps", {}, what, dict)
+    for key in caps:
+        _typed(caps, key, None, "policy caps")
     kwargs = dict(doc)
     if "action_order" in kwargs:
         kwargs["action_order"] = tuple(kwargs["action_order"])
@@ -204,11 +218,7 @@ def read_trace(lines) -> list[WorkloadSnapshot]:
 # -- outputs ------------------------------------------------------------
 
 def report_to_document(report: MetricsReport) -> dict:
-    return {
-        "transition_throughputs": dict(report.transition_throughputs),
-        "mean_tokens": dict(report.mean_tokens),
-        "response_times": dict(report.response_times),
-    }
+    return dataclasses.asdict(report)
 
 
 def estimate_to_document(estimate: SimulationEstimate) -> dict:

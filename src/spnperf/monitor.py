@@ -10,10 +10,13 @@ action budget.  Adjusted factors persist across snapshots.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from .net import SpnError
 from .pubsub import (
+    NETWORK_BUFFERS,
+    QOS_LEVEL_RATE_FACTOR,
     PubSubParams,
     build_pubsub_net,
     headline_metrics,
@@ -32,7 +35,9 @@ COMPLIANT = "compliant"
 EXHAUSTED_ACTIONS = "exhausted_actions"
 EVALUATION_FAILED = "evaluation_failed"
 
-_DEFAULT_CAPS = {"net_recv_buffer": 64, "net_send_buffer": 64, "broker_memory": 64}
+#: growth action -> the factors it multiplies by ``step``, each against its own cap
+_GROWS = {GROW_NETWORK_BUFFERS: NETWORK_BUFFERS, GROW_BROKER_MEMORY: ("broker_memory",)}
+_DEFAULT_CAPS = {factor: 64 for factors in _GROWS.values() for factor in factors}
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,8 @@ class WorkloadSnapshot:
     n_events: int
 
     def __post_init__(self):
+        if not math.isfinite(self.timestamp):
+            raise ValueError(f"timestamp must be finite, got {self.timestamp!r}")
         for name in ("n_publishers", "n_subscribers", "n_events"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -71,6 +78,16 @@ class MonitorPolicy:
             raise ValueError(f"unknown actions: {sorted(unknown)}")
         if self.step < 1:
             raise ValueError("step must be >= 1")
+        for name in ("max_accept_publication_response_time", "max_notification_response_time"):
+            if not getattr(self, name) >= 0:  # also refuses NaN
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        if self.initial_qos_level not in QOS_LEVEL_RATE_FACTOR:
+            raise ValueError(f"initial_qos_level must be one of {sorted(QOS_LEVEL_RATE_FACTOR)}")
+        unknown = set(self.caps) - set(_DEFAULT_CAPS)
+        if unknown:
+            raise ValueError(f"unknown caps: {sorted(unknown)}")
+        if any(cap < 1 for cap in self.caps.values()):
+            raise ValueError(f"caps must be >= 1, got {self.caps!r}")
         object.__setattr__(self, "caps", {**_DEFAULT_CAPS, **self.caps})
 
 
@@ -85,12 +102,7 @@ class DecisionRecord:
     outcome: str
 
 
-def solve_model(
-    model,
-    max_states: int = DEFAULT_MAX_STATES,
-    tol: float = DEFAULT_TOL,
-    method: str = "auto",
-):
+def solve_model(model, max_states: int = DEFAULT_MAX_STATES, tol: float = DEFAULT_TOL):
     """Explore and solve a model; return ``(ctmc, dist, report)``.
 
     ``model`` is a ``PubSubParams``, reported by ``headline_metrics``, or an
@@ -99,19 +111,16 @@ def solve_model(
     """
     is_params = isinstance(model, PubSubParams)
     ctmc = explore(build_pubsub_net(model) if is_params else model, max_states=max_states)
-    dist = steady_state(ctmc, method=method, tol=tol)
+    dist = steady_state(ctmc, tol=tol)
     report = headline_metrics(ctmc, dist) if is_params else chain_metrics(ctmc, dist)
     return ctmc, dist, report
 
 
 def evaluate(
-    params: PubSubParams,
-    max_states: int = DEFAULT_MAX_STATES,
-    tol: float = DEFAULT_TOL,
-    method: str = "auto",
+    params: PubSubParams, max_states: int = DEFAULT_MAX_STATES, tol: float = DEFAULT_TOL
 ) -> MetricsReport:
     """Build the net, solve its CTMC and return the headline metrics."""
-    return solve_model(params, max_states, tol, method)[2]
+    return solve_model(params, max_states, tol)[2]
 
 
 def detect_degradation(report: MetricsReport, policy: MonitorPolicy) -> list[str]:
@@ -133,27 +142,22 @@ def detect_degradation(report: MetricsReport, policy: MonitorPolicy) -> list[str
     return violations
 
 
-def _buffers_below_cap(params: PubSubParams, policy: MonitorPolicy) -> bool:
-    return (
-        params.net_recv_buffer < policy.caps["net_recv_buffer"]
-        or params.net_send_buffer < policy.caps["net_send_buffer"]
-    )
-
-
 def next_action(
     params: PubSubParams,
     policy: MonitorPolicy,
     qos_level: int | None = None,
 ) -> str | None:
-    """First applicable action in policy order, or ``None`` when exhausted."""
+    """First applicable action in policy order, or ``None`` when exhausted.
+
+    A growth action applies while any of its factors is below its cap.
+    """
     if qos_level is None:
         qos_level = policy.initial_qos_level
     for action in policy.action_order:
-        if action == GROW_NETWORK_BUFFERS and _buffers_below_cap(params, policy):
-            return action
-        if action == GROW_BROKER_MEMORY and params.broker_memory < policy.caps["broker_memory"]:
-            return action
-        if action == LOWER_QOS_LEVEL and policy.qos_reduction_allowed and qos_level > 0:
+        if action == LOWER_QOS_LEVEL:
+            if policy.qos_reduction_allowed and qos_level > 0:
+                return action
+        elif any(getattr(params, f) < policy.caps[f] for f in _GROWS[action]):
             return action
     return None
 
@@ -163,21 +167,18 @@ def apply_action(
 ) -> tuple[PubSubParams, int]:
     """Apply one action: integer factors multiply by ``step`` (clamped to the
     cap); lowering the QoS level raises the QoS processing rate one step."""
-    if action == GROW_NETWORK_BUFFERS:
-        for factor in ("net_recv_buffer", "net_send_buffer"):
-            grown = min(getattr(params, factor) * policy.step, policy.caps[factor])
-            params = set_factor(params, factor, grown)
-        return params, qos_level
-    if action == GROW_BROKER_MEMORY:
-        grown = min(params.broker_memory * policy.step, policy.caps["broker_memory"])
-        return set_factor(params, "broker_memory", grown), qos_level
     if action == LOWER_QOS_LEVEL:
         if qos_level <= 0:
             raise ValueError("QoS level is already at its minimum")
         new_level = qos_level - 1
         new_rate = params.r_pub_qos * qos_rate(1.0, new_level) / qos_rate(1.0, qos_level)
         return set_factor(params, "r_pub_qos", new_rate), new_level
-    raise ValueError(f"unknown action {action!r}")
+    if action not in _GROWS:
+        raise ValueError(f"unknown action {action!r}")
+    for factor in _GROWS[action]:
+        grown = min(getattr(params, factor) * policy.step, policy.caps[factor])
+        params = set_factor(params, factor, grown)
+    return params, qos_level
 
 
 def run_loop(

@@ -60,6 +60,9 @@ FACTOR_NAMES = (
     "r_pub_qos",
 )
 
+#: The network buffers, adjusted together by sweeps and the monitor.
+NETWORK_BUFFERS = ("net_recv_buffer", "net_send_buffer")
+
 #: QoS level -> multiplier applied to the base QoS processing rate.
 #: Lower levels mean less delivery bookkeeping, hence faster processing.
 QOS_LEVEL_RATE_FACTOR = {0: 4.0, 1: 1.0, 2: 0.5}
@@ -181,32 +184,31 @@ def build_pubsub_net(params: PubSubParams) -> SpnNet:
     return SpnNet(places, tuple(transitions), pre, post)
 
 
-def p_invariants(params: PubSubParams) -> list:
-    """Conservation laws of the net as (label, weights, expected) triples."""
-    def weights(*names):
-        w = np.zeros(len(PLACE_NAMES), dtype=np.int64)
-        for n in names:
-            w[PLACE_NAMES.index(n)] = 1
-        return w
+# label -> places whose token total is conserved (weight 1 each)
+_P_INVARIANTS = (
+    ("publishers", ("PublishersIdle", "PubConnecting", "PublishersConnected")),
+    ("subscribers", ("SubscribersIdle", "SubConnecting", "SubscribersConnected", "Subscribed")),
+    ("broker_capacity", ("BrokerCapacity", "PublishersConnected", "SubscribersConnected", "Subscribed")),
+    ("events", ("EventToPublish", "PubRequest", "PubAccepted", "PublishedEvent", "SubQoSProcessing")),
+    ("recv_buffer", ("NetworkReceiveBuffer", "PubAccepted")),
+    ("send_buffer", ("NetworkSendBuffer", "SubQoSProcessing")),
+    ("broker_memory", ("BrokerMemory", "PubAccepted", "PublishedEvent", "SubQoSProcessing")),
+    ("received_event_capacity", ("ReceivedEventCapacity", "SubQoSProcessing")),
+    ("topics", ("Topics",)),
+)
 
+
+def p_invariants(params: PubSubParams) -> list:
+    """Conservation laws of the net as (label, weights, expected) triples;
+    ``expected`` is the weighted token count of the initial marking."""
+    init = _initial_tokens(params)
     return [
-        ("publishers", weights("PublishersIdle", "PubConnecting", "PublishersConnected"),
-         params.n_publishers),
-        ("subscribers", weights("SubscribersIdle", "SubConnecting", "SubscribersConnected", "Subscribed"),
-         params.n_subscribers),
-        ("broker_capacity", weights("BrokerCapacity", "PublishersConnected", "SubscribersConnected", "Subscribed"),
-         params.broker_capacity),
-        ("events", weights("EventToPublish", "PubRequest", "PubAccepted", "PublishedEvent", "SubQoSProcessing"),
-         params.n_events),
-        ("recv_buffer", weights("NetworkReceiveBuffer", "PubAccepted"),
-         params.net_recv_buffer),
-        ("send_buffer", weights("NetworkSendBuffer", "SubQoSProcessing"),
-         params.net_send_buffer),
-        ("broker_memory", weights("BrokerMemory", "PubAccepted", "PublishedEvent", "SubQoSProcessing"),
-         params.broker_memory),
-        ("received_event_capacity", weights("ReceivedEventCapacity", "SubQoSProcessing"),
-         params.received_event_capacity),
-        ("topics", weights("Topics"), params.n_topics),
+        (
+            label,
+            np.array([name in names for name in PLACE_NAMES], dtype=np.int64),
+            sum(init.get(name, 0) for name in names),
+        )
+        for label, names in _P_INVARIANTS
     ]
 
 
@@ -240,17 +242,11 @@ def headline_metrics(ctmc: Ctmc, dist: StationaryDistribution) -> MetricsReport:
 
 
 def set_factor(params: PubSubParams, factor: str, value) -> PubSubParams:
-    """Return new params with one influencing factor changed."""
+    """Return new params with one influencing factor changed; ``PubSubParams``
+    checks its range."""
     if factor not in FACTOR_NAMES:
         raise ValueError(f"unknown factor {factor!r}; expected one of {FACTOR_NAMES}")
-    if factor == "r_pub_qos":
-        value = float(value)
-        if not (value > 0 and np.isfinite(value)):
-            raise ValueError(f"r_pub_qos must be a positive rate, got {value!r}")
-    else:
-        value = int(value)
-        if value < 1:
-            raise ValueError(f"{factor} must be a positive integer, got {value!r}")
+    value = float(value) if factor == "r_pub_qos" else int(value)
     return dataclasses.replace(params, **{factor: value})
 
 

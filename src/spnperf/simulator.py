@@ -77,19 +77,17 @@ def simulate_run(
     now = 0.0
     counts = np.zeros(net.n_transitions, dtype=np.int64)
     token_time = np.zeros(net.n_places)
-    deadlocked = False
 
     while now < horizon:
         enabled, scales, successors, arr = _marking_info(net, m, cache)
-        if not enabled:
-            deadlocked = True
-            span = horizon - max(now, warmup)
-            if span > 0:
-                token_time += arr * span
-            break
-        delays = rng.exponential(scales)
-        k = int(delays.argmin())
-        nxt = now + float(delays[k])
+        # a deadlocked marking's next event is at +inf: it holds to the horizon
+        deadlocked = not enabled
+        if deadlocked:
+            nxt = np.inf
+        else:
+            delays = rng.exponential(scales)
+            k = int(delays.argmin())
+            nxt = now + float(delays[k])
         span = min(nxt, horizon) - max(now, warmup)
         if span > 0:
             token_time += arr * span
@@ -116,15 +114,6 @@ def default_metrics(net: SpnNet) -> tuple[str, ...]:
     )
 
 
-def _metric_value(run: RunResult, metric: str) -> float:
-    kind, _, name = metric.partition(":")
-    if kind == "throughput":
-        return run.firing_counts[name] / run.observed_time
-    if kind == "mean_tokens":
-        return run.mean_tokens[name]
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def estimate_metrics(
     net: SpnNet,
     horizon: float,
@@ -149,9 +138,14 @@ def estimate_metrics(
     # the Student-t quantile; scipy.stats gives the same value but costs
     # most of the CLI's import time
     tq = float(scipy.special.stdtrit(replications - 1, 0.975))
+    # one row per metric, in default_metrics order; each row is reduced on
+    # its own, contiguous, so it sums in the same order as a 1-D array
+    values = np.array(
+        [[r.firing_counts[t.name] / r.observed_time for r in runs] for t in net.transitions]
+        + [[r.mean_tokens[p.name] for r in runs] for p in net.places]
+    )
     out = {}
-    for metric in default_metrics(net):
-        vals = np.array([_metric_value(r, metric) for r in runs])
+    for metric, vals in zip(default_metrics(net), values):
         hw = tq * vals.std(ddof=1) / np.sqrt(replications)
         out[metric] = (float(vals.mean()), float(hw))
     return SimulationEstimate(out, replications, deadlock_runs)

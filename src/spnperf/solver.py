@@ -143,13 +143,13 @@ def _solve_direct(q, tol: float, block: int = 32) -> tuple[np.ndarray, int]:
     return pi, 0
 
 
-def _solve_gauss_seidel(q, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
+def _solve_gauss_seidel(q, tol: float) -> tuple[np.ndarray, int]:
     n = q.shape[0]
     a = scipy.sparse.csr_matrix(q.T)
     lower = scipy.sparse.tril(a, k=0, format="csr")
     upper = scipy.sparse.triu(a, k=1, format="csr")
     x = np.full(n, 1.0 / n)
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(1, DEFAULT_MAX_ITER + 1):
         rhs = -(upper @ x)
         x = scipy.sparse.linalg.spsolve_triangular(lower, rhs, lower=True)
         total = x.sum()
@@ -158,20 +158,18 @@ def _solve_gauss_seidel(q, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
         x = x / total
         if _residual(x, q) <= tol:
             return x, sweep
-    raise ConvergenceError(_residual(x, q), max_iter)
+    raise ConvergenceError(_residual(x, q), DEFAULT_MAX_ITER)
 
 
 def steady_state(
-    ctmc: Ctmc,
-    method: str = "auto",
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    ctmc: Ctmc, method: str = "auto", tol: float = DEFAULT_TOL
 ) -> StationaryDistribution:
     """Solve pi Q = 0, sum(pi) = 1 for an irreducible chain.
 
-    ``method`` is one of ``auto``, ``direct``, ``iterative``; ``auto``
-    uses direct elimination up to ``DIRECT_STATE_LIMIT`` states and
-    Gauss-Seidel beyond.
+    ``auto``, the only selection the pipeline makes, uses direct
+    elimination up to ``DIRECT_STATE_LIMIT`` states and Gauss-Seidel
+    beyond; tests force ``direct`` or ``iterative`` to compare the two.
+    Gauss-Seidel gives up after ``DEFAULT_MAX_ITER`` sweeps.
     """
     if ctmc.n_states == 0:
         raise ValueError("empty chain")
@@ -188,7 +186,7 @@ def steady_state(
     if method == "direct":
         pi, iters = _solve_direct(q, tol)
     else:
-        pi, iters = _solve_gauss_seidel(q, tol, max_iter)
+        pi, iters = _solve_gauss_seidel(q, tol)
 
     pi = np.where((pi < 0) & (pi > -1e-12), 0.0, pi)
     if (pi < 0).any():

@@ -478,3 +478,171 @@ def test_non_finite_distribution_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "no convergence" in err
+
+
+# -- policy values and trace timestamps are checked before any evaluation ------
+
+def refuse_evaluation(monkeypatch):
+    # the monitor's only path to a solve: any call means the input got through
+    from spnperf import monitor
+
+    def fail(*_args, **_kwargs):
+        raise AssertionError("evaluated an input that should have been refused")
+
+    monkeypatch.setattr(monitor, "evaluate", fail)
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"caps": {"broker_memory": 2.5}}, "broker_memory"),
+        ({"caps": {"net_send_buffer": True}}, "net_send_buffer"),
+        ({"caps": {"broker_memmory": 4}}, "broker_memmory"),
+        ({"caps": {"broker_memory": 0}}, "caps"),
+        ({"caps": [4]}, "caps"),
+        ({"max_accept_publication_response_time": "2.8"}, "max_accept_publication_response_time"),
+        ({"max_notification_response_time": float("nan")}, "max_notification_response_time"),
+        ({"max_notification_response_time": -1.0}, "max_notification_response_time"),
+        ({"qos_reduction_allowed": "no"}, "qos_reduction_allowed"),
+        ({"qos_reduction_allowed": 1}, "qos_reduction_allowed"),
+        ({"initial_qos_level": 5}, "initial_qos_level"),
+        ({"initial_qos_level": 1.0}, "initial_qos_level"),
+    ],
+)
+def test_policy_values_are_refused_before_evaluation(
+    tmp_path, params_file, capsys, monkeypatch, overrides, key
+):
+    doc = {
+        "max_accept_publication_response_time": 2.8,
+        "max_notification_response_time": 3.7,
+        "qos_reduction_allowed": True,
+        **overrides,
+    }
+    with pytest.raises(files.FormatError, match=key):
+        files.policy_from_document(doc)
+    refuse_evaluation(monkeypatch)
+    trace = write_trace(tmp_path, [{"t": 1.0, "publishers": 2, "subscribers": 2, "events": 3}])
+    code, out, err = run_cli(capsys, "monitor", trace, params_file, write_doc(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert key in err
+
+
+def test_policy_bounds_still_load(tmp_path, params_file, capsys):
+    # zero and infinite thresholds, a cap of 1 and QoS level 0 are all legal
+    doc = {
+        "max_accept_publication_response_time": 0,
+        "max_notification_response_time": float("inf"),
+        "qos_reduction_allowed": False,
+        "caps": {"net_recv_buffer": 1, "net_send_buffer": 1, "broker_memory": 1},
+        "initial_qos_level": 0,
+    }
+    policy = files.policy_from_document(doc)
+    assert policy.caps == doc["caps"]
+    trace = write_trace(tmp_path, [{"t": 1.0, "publishers": 2, "subscribers": 2, "events": 3}])
+    code, out, _ = run_cli(capsys, "monitor", trace, params_file, write_doc(tmp_path, doc))
+    assert code == 0
+    assert json.loads(out)["outcome"] == "exhausted_actions"
+
+
+@pytest.mark.parametrize("t", ["NaN", "Infinity", "-Infinity"])
+def test_trace_timestamp_must_be_finite(tmp_path, params_file, capsys, monkeypatch, t):
+    line = f'{{"t": {t}, "publishers": 2, "subscribers": 2, "events": 3}}'
+    with pytest.raises(files.FormatError, match="trace line 1"):
+        files.read_trace([line])
+    refuse_evaluation(monkeypatch)
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "monitor", str(trace), params_file, write_policy(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+# -- refusals ---------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "{model}", "--factor", "broker_memory", "--values", "1"),
+        ("monitor", "{trace}", "{model}", "{policy}"),
+        ("export-net", "{model}"),
+    ],
+)
+def test_params_only_commands_refuse_a_net_document(tmp_path, capsys, argv):
+    paths = {
+        "model": write_net(tmp_path, mm1k_net(1.0, 2.0, 2)),
+        "trace": write_trace(tmp_path, [{"t": 1.0, "publishers": 2, "subscribers": 2, "events": 3}]),
+        "policy": write_policy(tmp_path),
+    }
+    code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert f"{argv[0]} requires a pub/sub params file" in err
+
+
+def test_monitor_refuses_a_policy_that_is_not_json(tmp_path, params_file, capsys):
+    policy = tmp_path / "policy.json"
+    policy.write_text("{not json")
+    trace = write_trace(tmp_path, [{"t": 1.0, "publishers": 2, "subscribers": 2, "events": 3}])
+    code, _out, err = run_cli(capsys, "monitor", trace, params_file, str(policy))
+    assert code == 2
+    assert "not valid JSON" in err
+
+
+def _mm1k_document():
+    return files.net_to_document(mm1k_net(1.0, 2.0, 2))
+
+
+def _set(path, value):
+    def edit(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["places"].append(5), "place must be a JSON object"),
+        (_set(("transitions", 0, "semantics"), "many_server"), "unknown semantics"),
+        (_set(("arcs", 0, "kind"), "test"), "unknown arc kind"),
+        (_set(("arcs", 0, "place"), "Nowhere"), "unknown node 'Nowhere'"),
+    ],
+)
+def test_malformed_net_documents_exit_2(tmp_path, capsys, edit, message):
+    doc = _mm1k_document()
+    edit(doc)
+    with pytest.raises(files.FormatError, match=message):
+        files.net_from_document(doc)
+    code, out, err = run_cli(capsys, "analyze", write_doc(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_a_net_document_must_be_an_object():
+    with pytest.raises(files.FormatError, match="net document must be a JSON object"):
+        files.net_from_document([])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set(("places", 0, "initial"), -1), "negative initial tokens"),
+        (lambda doc: doc["transitions"].append(doc["transitions"][0]),
+         "duplicate name: transition 'arrive'"),
+        (_set(("transitions", 0, "priority"), -1), "negative priority"),
+        (_set(("arcs", 0, "weight"), -1), "negative entries in pre matrix"),
+    ],
+)
+def test_analyze_refuses_an_invalid_net(tmp_path, capsys, edit, message):
+    doc = _mm1k_document()
+    edit(doc)
+    code, out, err = run_cli(capsys, "analyze", write_doc(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert message in err

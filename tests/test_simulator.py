@@ -114,3 +114,17 @@ def test_default_metrics_cover_all_nodes():
         "mean_tokens:Free",
         "mean_tokens:Queue",
     }
+
+
+def test_invalid_net_is_refused():
+    from spnperf.reachability import InvalidNetError
+
+    net = simple_net([("p", -1)], [("t", 1.0)], [("p", "t", "pre", 1)])
+    with pytest.raises(InvalidNetError, match="negative initial tokens"):
+        simulate_run(net, horizon=10.0)
+
+
+@pytest.mark.parametrize("warmup", [10.0, 20.0])
+def test_warmup_must_end_before_the_horizon(warmup):
+    with pytest.raises(ValueError, match="warmup"):
+        simulate_run(mm1k_net(1.0, 2.0, 2), horizon=10.0, warmup=warmup)

@@ -172,3 +172,12 @@ def test_single_state_chain():
     dist = steady_state(ctmc)
     assert dist.probabilities.tolist() == [1.0]
     assert transition_throughput(ctmc, dist, "loop") == 1.0
+
+
+def test_gauss_seidel_gives_up_after_the_sweep_budget(monkeypatch):
+    from spnperf import solver
+
+    monkeypatch.setattr(solver, "DEFAULT_MAX_ITER", 1)
+    with pytest.raises(solver.ConvergenceError) as exc:
+        steady_state(explore(mm1k_net(1.0, 2.0, 20)), method="iterative")
+    assert exc.value.iterations == 1
