@@ -173,15 +173,15 @@ def policy_from_document(doc: dict) -> MonitorPolicy:
     _require_keys(doc, required, optional, what=what)
     for key in required:
         _typed(doc, key, None, what, (int, float))
-    for key in ("step", "max_actions_per_snapshot", "initial_qos_level"):
-        _typed(doc, key, 0, what)
     _typed(doc, "qos_reduction_allowed", False, what, bool)
-    caps = _typed(doc, "caps", {}, what, dict)
-    for key in caps:
-        _typed(caps, key, None, "policy caps")
+    # MonitorPolicy checks the counts and the caps' values
+    _typed(doc, "caps", {}, what, dict)
     kwargs = dict(doc)
     if "action_order" in kwargs:
-        kwargs["action_order"] = tuple(kwargs["action_order"])
+        order = kwargs["action_order"]
+        if not (isinstance(order, list) and all(isinstance(a, str) for a in order)):
+            raise FormatError(f"{what} action_order must be a list of strings, got {order!r}")
+        kwargs["action_order"] = tuple(order)
     try:
         return MonitorPolicy(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -57,6 +57,10 @@ class WorkloadSnapshot:
                 raise ValueError(f"{name} must be positive")
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MonitorPolicy:
     """Thresholds, action ordering and resource caps for the optimizer."""
@@ -76,6 +80,15 @@ class MonitorPolicy:
         unknown = set(self.action_order) - set(ACTIONS)
         if unknown:
             raise ValueError(f"unknown actions: {sorted(unknown)}")
+        if len(set(self.action_order)) != len(self.action_order):
+            raise ValueError(f"action_order repeats an action: {list(self.action_order)}")
+        # counts are whole numbers: set_factor would truncate a fractional
+        # cap, and bool is an int subclass that no count should be
+        for name in ("step", "max_actions_per_snapshot", "initial_qos_level"):
+            if not _is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not all(_is_count(cap) for cap in self.caps.values()):
+            raise ValueError(f"caps must be integers, got {self.caps!r}")
         if self.step < 1:
             raise ValueError("step must be >= 1")
         for name in ("max_accept_publication_response_time", "max_notification_response_time"):

@@ -5,10 +5,20 @@ exponential delays (memoryless, so equivalent to next-reaction scheduling);
 the minimum-delay transition fires.  Randomness comes from numpy's PCG64
 generator seeded per run, so a (net, horizon, warmup, seed) quadruple fully
 determines the output on any platform.
+
+Each run draws standard exponentials in blocks of ``DRAW_BLOCK`` and scales
+them by the racing transitions' mean delays 1/rate.  numpy's
+``exponential(scale)`` is ``scale * standard_exponential()`` over the same
+stream, so every delay equals the one a per-event ``rng.exponential(scales)``
+would give; the draws left over when a run ends are never used.  The event
+loop itself does only Python float arithmetic: the firing kernel is asked
+once per visited marking, and its answer is kept in a marking cache that
+all replications of one ``estimate_metrics`` call share.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,18 +47,36 @@ class SimulationEstimate:
     deadlock_runs: int
 
 
-def _marking_info(net: SpnNet, m, cache):
-    # enabled transitions, their mean delays (1/rate), the successor of
-    # each and the marking as an array, computed once per visited marking
-    info = cache.get(m)
-    if info is None:
+#: standard exponentials drawn at a time by each run
+DRAW_BLOCK = 4096
+#: entries a marking cache holds (about 2.3 kB each for the 18-place pub/sub
+#: net); markings found once it is full are computed at every visit
+MARKING_CACHE_LIMIT = 10_000
+
+
+def _event_entry(net: SpnNet, m, cache):
+    # what the event loop needs of marking m, asked of the firing kernel
+    # once: the enabled transitions, their mean delays (1/rate) as floats,
+    # the successor of each and the marked places as (place, tokens) pairs;
+    # stored while the cache has room (caching changes no result)
+    entry = cache.get(m)
+    if entry is None:
         arr = np.array(m, dtype=np.int64)
         enabled, rates = enabled_rates(net, arr[None, :])
         ts = np.flatnonzero(enabled[0])
         successors = [tuple(row) for row in (arr + net.delta[ts]).tolist()]
-        info = (tuple(ts.tolist()), 1.0 / rates[0, ts], successors, arr)
-        cache[m] = info
-    return info
+        marked = [(p, x) for p, x in enumerate(m) if x]
+        entry = (tuple(ts.tolist()), (1.0 / rates[0, ts]).tolist(), successors, marked)
+        if len(cache) < MARKING_CACHE_LIMIT:
+            cache[m] = entry
+    return entry
+
+
+def _marking_info(net: SpnNet, m, cache):
+    # the event loop's entry for m as arrays: the enabled transitions, their
+    # mean delays, the successor of each and the marking
+    enabled, scales, successors, _marked = _event_entry(net, m, cache)
+    return enabled, np.array(scales), successors, np.array(m, dtype=np.int64)
 
 
 def simulate_run(
@@ -56,12 +84,15 @@ def simulate_run(
     horizon: float,
     warmup: float | None = None,
     seed: int = 0,
+    *,
+    _cache: dict | None = None,
 ) -> RunResult:
     """Simulate one trajectory over [0, horizon].
 
     Statistics (firing counts and time-weighted token averages) cover the
     window (warmup, horizon].  ``warmup`` defaults to 10% of the horizon.
-    A deadlock freezes the marking for the remaining time.
+    A deadlock freezes the marking for the remaining time.  ``_cache`` is
+    the marking cache ``estimate_metrics`` shares between its replications.
     """
     violations = validate_net(net)
     if violations:
@@ -72,25 +103,45 @@ def simulate_run(
         raise ValueError("warmup must satisfy 0 <= warmup < horizon")
 
     rng = np.random.default_rng(seed)
-    cache = {}
+    cache = {} if _cache is None else _cache
+    get = cache.get
     m = net.initial_marking()
     now = 0.0
-    counts = np.zeros(net.n_transitions, dtype=np.int64)
-    token_time = np.zeros(net.n_places)
+    counts = [0] * net.n_transitions
+    token_time = [0.0] * net.n_places
+    draws = []
+    pos = 0
 
     while now < horizon:
-        enabled, scales, successors, arr = _marking_info(net, m, cache)
+        entry = get(m)
+        if entry is None:
+            entry = _event_entry(net, m, cache)
+        enabled, scales, successors, marked = entry
+        n = len(scales)
         # a deadlocked marking's next event is at +inf: it holds to the horizon
-        deadlocked = not enabled
+        deadlocked = not n
         if deadlocked:
-            nxt = np.inf
+            nxt = math.inf
         else:
-            delays = rng.exponential(scales)
-            k = int(delays.argmin())
-            nxt = now + float(delays[k])
-        span = min(nxt, horizon) - max(now, warmup)
+            if pos + n > len(draws):
+                draws = draws[pos:] + rng.standard_exponential(DRAW_BLOCK).tolist()
+                pos = 0
+            # the first minimum wins, as argmin picks it
+            k = 0
+            delay = draws[pos] * scales[0]
+            for i in range(1, n):
+                d = draws[pos + i] * scales[i]
+                if d < delay:
+                    k = i
+                    delay = d
+            pos += n
+            nxt = now + delay
+        # min and max, as conditional expressions (cheaper than the calls)
+        span = (nxt if nxt < horizon else horizon) - (now if now > warmup else warmup)
         if span > 0:
-            token_time += arr * span
+            # an empty place would add 0 * span, which changes no sum
+            for p, x in marked:
+                token_time[p] += x * span
         if nxt > horizon:
             break
         if nxt > warmup:
@@ -100,8 +151,8 @@ def simulate_run(
 
     window = horizon - warmup
     return RunResult(
-        firing_counts={t.name: int(c) for t, c in zip(net.transitions, counts)},
-        mean_tokens={p.name: float(x / window) for p, x in zip(net.places, token_time)},
+        firing_counts={t.name: c for t, c in zip(net.transitions, counts)},
+        mean_tokens={p.name: x / window for p, x in zip(net.places, token_time)},
         observed_time=window,
         deadlocked=deadlocked,
     )
@@ -130,8 +181,9 @@ def estimate_metrics(
     if replications < 2:
         raise ValueError("at least 2 replications are required")
 
+    cache = {}
     runs = [
-        simulate_run(net, horizon, warmup, seed=base_seed + i)
+        simulate_run(net, horizon, warmup, seed=base_seed + i, _cache=cache)
         for i in range(replications)
     ]
     deadlock_runs = sum(r.deadlocked for r in runs)

@@ -646,3 +646,29 @@ def test_analyze_refuses_an_invalid_net(tmp_path, capsys, edit, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "action_order, message",
+    [
+        ("lower_qos_level", "action_order must be a list of strings"),
+        (["grow_broker_memory", 3], "action_order must be a list of strings"),
+        (["grow_broker_memory", "grow_broker_memory"], "action_order repeats"),
+    ],
+)
+def test_policy_action_order_is_a_list_of_distinct_actions(
+    tmp_path, params_file, capsys, monkeypatch, action_order, message
+):
+    doc = {
+        "max_accept_publication_response_time": 2.8,
+        "max_notification_response_time": 3.7,
+        "action_order": action_order,
+    }
+    with pytest.raises(files.FormatError, match=message):
+        files.policy_from_document(doc)
+    refuse_evaluation(monkeypatch)
+    trace = write_trace(tmp_path, [{"t": 1.0, "publishers": 2, "subscribers": 2, "events": 3}])
+    code, out, err = run_cli(capsys, "monitor", trace, params_file, write_doc(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert "action_order" in err

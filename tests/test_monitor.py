@@ -208,3 +208,28 @@ def test_policy_validation():
         MonitorPolicy(1.0, 1.0, step=0)
     with pytest.raises(ValueError):
         WorkloadSnapshot(1.0, 0, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "overrides, field_name",
+    [
+        ({"step": 2.5}, "step"),
+        ({"step": True}, "step"),
+        ({"max_actions_per_snapshot": 1.5}, "max_actions_per_snapshot"),
+        ({"max_actions_per_snapshot": True}, "max_actions_per_snapshot"),
+        ({"initial_qos_level": 1.0}, "initial_qos_level"),
+        ({"initial_qos_level": True}, "initial_qos_level"),
+        ({"caps": {"broker_memory": 2.5}}, "caps"),
+        ({"caps": {"net_recv_buffer": True}}, "caps"),
+    ],
+)
+def test_policy_counts_must_be_integers(overrides, field_name):
+    # a fractional cap used to be truncated by set_factor, so the monitor
+    # spent its whole action budget growing broker memory by nothing
+    with pytest.raises(ValueError, match=field_name):
+        MonitorPolicy(0.0, 0.0, **overrides)
+
+
+def test_policy_refuses_a_repeated_action():
+    with pytest.raises(ValueError, match="action_order repeats"):
+        MonitorPolicy(1.0, 1.0, action_order=(GROW_BROKER_MEMORY, GROW_BROKER_MEMORY))
