@@ -187,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace", help="workload trace, JSON Lines")
     p.add_argument("params", help="pub/sub params JSON file")
     p.add_argument("policy", help="monitor policy JSON file")
-    p.add_argument("--max-states", type=_count, default=DEFAULT_MAX_STATES)
-    p.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
+    _analysis_options(p)
     p.set_defaults(func=cmd_monitor)
 
     p = sub.add_parser("export-net", help="dump a params file as a net document")

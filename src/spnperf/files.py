@@ -1,17 +1,23 @@
 """JSON document formats: nets, model params, policies, traces and reports.
 
-All loaders reject unknown keys so schema drift fails loudly.
+Loaders check only the JSON shape: required and unknown keys, lists and
+objects where the format has them, and arc references to node names.
+Every value is checked by the object it builds (``validate_net`` and
+``SpnNet`` for nets, ``PubSubParams``, ``MonitorPolicy``,
+``WorkloadSnapshot``), whose ``ValueError`` becomes a ``FormatError``.  So
+a Python caller is refused exactly what a document is.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from dataclasses import MISSING
 
 import numpy as np
 
 from .monitor import DecisionRecord, MonitorPolicy, WorkloadSnapshot
-from .net import SERVER_SEMANTICS, SINGLE_SERVER, Place, SpnNet, Transition
+from .net import Place, SpnNet, Transition, validate_net
 from .pubsub import PubSubParams
 from .simulator import SimulationEstimate
 from .solver import MetricsReport
@@ -61,80 +67,67 @@ def net_to_document(net: SpnNet) -> dict:
     }
 
 
-_KINDS = {int: "an integer", (int, float): "a number", str: "a string", bool: "a boolean",
-          dict: "an object"}
-
-
-def _typed(entry: dict, key: str, default, what: str, kind=int):
-    value = entry.get(key, default)
-    # JSON true and false are Python ints: only a bool key takes them
-    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
-        raise FormatError(f"{what} {key} must be {_KINDS[kind]}, got {value!r}")
-    return value
+def _construct(cls, doc: dict, what: str):
+    """Build a dataclass from a document whose keys are its fields; ``cls`` checks
+    the values, and its ``ValueError`` becomes a ``FormatError``."""
+    fields = dataclasses.fields(cls)
+    required = [f.name for f in fields if f.default is MISSING and f.default_factory is MISSING]
+    _require_keys(doc, required, [f.name for f in fields], what=what)
+    try:
+        return cls(**doc)
+    except ValueError as exc:
+        raise FormatError(f"bad {what}: {exc}") from exc
 
 
 def net_from_document(doc: dict) -> SpnNet:
     _require_keys(doc, ("places", "transitions", "arcs"), what="net document")
+    if not all(isinstance(doc[key], list) for key in doc):
+        raise FormatError("net document places, transitions and arcs must be JSON lists")
     places = []
     for entry in doc["places"]:
         _require_keys(entry, ("name",), ("initial",), what="place")
-        places.append(
-            Place(_typed(entry, "name", None, "place", str), _typed(entry, "initial", 0, "place"))
-        )
-    transitions = []
-    for entry in doc["transitions"]:
-        _require_keys(entry, ("name", "rate"), ("priority", "semantics"), what="transition")
-        semantics = entry.get("semantics", SINGLE_SERVER)
-        if semantics not in SERVER_SEMANTICS:
-            raise FormatError(f"unknown semantics {semantics!r}")
-        transitions.append(
-            Transition(
-                _typed(entry, "name", None, "transition", str),
-                float(_typed(entry, "rate", None, "transition", (int, float))),
-                _typed(entry, "priority", 0, "transition"),
-                semantics,
-            )
-        )
+        places.append(Place(entry["name"], entry.get("initial", 0)))
+    transitions = [_construct(Transition, entry, "transition") for entry in doc["transitions"]]
+    # weights go in as loaded, so that SpnNet refuses a fraction or a bool
+    kinds = ("pre", "post", "inhibitor")  # `in` a tuple compares; a dict would hash a list
+    mats = {kind: np.zeros((len(places), len(transitions)), dtype=object) for kind in kinds}
+    # the nodes are checked before any arc is resolved against their names
+    net = SpnNet(places, transitions, mats["pre"], mats["post"])
+    violations = validate_net(net)
+    if violations:
+        raise FormatError("invalid net: " + "; ".join(violations))
     pidx = {p.name: i for i, p in enumerate(places)}
     tidx = {t.name: i for i, t in enumerate(transitions)}
-    pre = np.zeros((len(places), len(transitions)), dtype=np.int64)
-    post = np.zeros_like(pre)
-    inh = np.zeros_like(pre)
-    mats = {"pre": pre, "post": post, "inhibitor": inh}
     seen = set()
     for entry in doc["arcs"]:
         _require_keys(entry, ("place", "transition", "kind"), ("weight",), what="arc")
-        if entry["kind"] not in mats:
+        if entry["kind"] not in kinds:
             raise FormatError(f"unknown arc kind {entry['kind']!r}")
-        try:
-            p, t = pidx[entry["place"]], tidx[entry["transition"]]
-        except KeyError as exc:
-            raise FormatError(f"arc references unknown node {exc.args[0]!r}") from None
+        for name, index in ((entry["place"], pidx), (entry["transition"], tidx)):
+            if not (isinstance(name, str) and name in index):
+                raise FormatError(f"arc references unknown node {name!r}")
+        p, t = pidx[entry["place"]], tidx[entry["transition"]]
         arc = (p, t, entry["kind"])
         if arc in seen:
             raise FormatError(
                 f"duplicate {entry['kind']} arc {entry['place']!r} -> {entry['transition']!r}"
             )
         seen.add(arc)
-        mats[entry["kind"]][p, t] = _typed(entry, "weight", 1, "arc")
-    return SpnNet(tuple(places), tuple(transitions), pre, post, inh)
+        mats[entry["kind"]][p, t] = entry.get("weight", 1)
+    try:
+        return dataclasses.replace(net, pre=mats["pre"], post=mats["post"], inh=mats["inhibitor"])
+    except ValueError as exc:
+        raise FormatError(f"bad net document: {exc}") from exc
 
 
 # -- pub/sub params -----------------------------------------------------
-
-_PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(PubSubParams))
-
 
 def params_to_document(params: PubSubParams) -> dict:
     return dataclasses.asdict(params)
 
 
 def params_from_document(doc: dict) -> PubSubParams:
-    _require_keys(doc, (), _PARAM_FIELDS, what="params document")
-    try:
-        return PubSubParams(**doc)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad params document: {exc}") from exc
+    return _construct(PubSubParams, doc, "params document")
 
 
 def load_json(path):
@@ -157,35 +150,7 @@ def load_model_file(path) -> SpnNet | PubSubParams:
 # -- policy and trace ---------------------------------------------------
 
 def policy_from_document(doc: dict) -> MonitorPolicy:
-    required = (
-        "max_accept_publication_response_time",
-        "max_notification_response_time",
-    )
-    optional = (
-        "action_order",
-        "step",
-        "qos_reduction_allowed",
-        "caps",
-        "max_actions_per_snapshot",
-        "initial_qos_level",
-    )
-    what = "policy document"
-    _require_keys(doc, required, optional, what=what)
-    for key in required:
-        _typed(doc, key, None, what, (int, float))
-    _typed(doc, "qos_reduction_allowed", False, what, bool)
-    # MonitorPolicy checks the counts and the caps' values
-    _typed(doc, "caps", {}, what, dict)
-    kwargs = dict(doc)
-    if "action_order" in kwargs:
-        order = kwargs["action_order"]
-        if not (isinstance(order, list) and all(isinstance(a, str) for a in order)):
-            raise FormatError(f"{what} action_order must be a list of strings, got {order!r}")
-        kwargs["action_order"] = tuple(order)
-    try:
-        return MonitorPolicy(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad policy document: {exc}") from exc
+    return _construct(MonitorPolicy, doc, "policy document")
 
 
 def read_trace(lines) -> list[WorkloadSnapshot]:
@@ -203,9 +168,10 @@ def read_trace(lines) -> list[WorkloadSnapshot]:
             raise FormatError(f"trace line {lineno}: not valid JSON ({exc})") from exc
         what = f"trace line {lineno}"
         _require_keys(doc, ("t", "publishers", "subscribers", "events"), what=what)
-        counts = [_typed(doc, key, None, what) for key in ("publishers", "subscribers", "events")]
         try:
-            snap = WorkloadSnapshot(float(_typed(doc, "t", None, what, (int, float))), *counts)
+            snap = WorkloadSnapshot(
+                doc["t"], doc["publishers"], doc["subscribers"], doc["events"]
+            )
         except ValueError as exc:
             raise FormatError(f"{what}: {exc}") from exc
         if last_t is not None and snap.timestamp <= last_t:

@@ -13,7 +13,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
-from .net import SpnError
+from .net import SpnError, is_count, is_real
 from .pubsub import (
     NETWORK_BUFFERS,
     QOS_LEVEL_RATE_FACTOR,
@@ -50,15 +50,13 @@ class WorkloadSnapshot:
     n_events: int
 
     def __post_init__(self):
-        if not math.isfinite(self.timestamp):
-            raise ValueError(f"timestamp must be finite, got {self.timestamp!r}")
+        if not (is_real(self.timestamp) and math.isfinite(self.timestamp)):
+            raise ValueError(f"timestamp must be a finite number, got {self.timestamp!r}")
+        object.__setattr__(self, "timestamp", float(self.timestamp))
         for name in ("n_publishers", "n_subscribers", "n_events"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+            value = getattr(self, name)
+            if not (is_count(value) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,32 +73,43 @@ class MonitorPolicy:
     initial_qos_level: int = 1
 
     def __post_init__(self):
-        if not self.action_order:
+        order = self.action_order
+        if not (isinstance(order, (list, tuple)) and all(isinstance(a, str) for a in order)):
+            raise ValueError(f"action_order must be a list of strings, got {order!r}")
+        if not order:
             raise ValueError("action_order must not be empty")
-        unknown = set(self.action_order) - set(ACTIONS)
+        unknown = set(order) - set(ACTIONS)
         if unknown:
             raise ValueError(f"unknown actions: {sorted(unknown)}")
-        if len(set(self.action_order)) != len(self.action_order):
-            raise ValueError(f"action_order repeats an action: {list(self.action_order)}")
-        # counts are whole numbers: set_factor would truncate a fractional
-        # cap, and bool is an int subclass that no count should be
-        for name in ("step", "max_actions_per_snapshot", "initial_qos_level"):
-            if not _is_count(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not all(_is_count(cap) for cap in self.caps.values()):
-            raise ValueError(f"caps must be integers, got {self.caps!r}")
-        if self.step < 1:
-            raise ValueError("step must be >= 1")
+        if len(set(order)) != len(order):
+            raise ValueError(f"action_order repeats an action: {list(order)}")
+        object.__setattr__(self, "action_order", tuple(order))
+        # counts are whole numbers, and bool is an int subclass that no count
+        # should be: a cap of 2.5 would reach set_factor as a buffer size
+        for name, least in (("step", 1), ("max_actions_per_snapshot", 0)):
+            value = getattr(self, name)
+            if not (is_count(value) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         for name in ("max_accept_publication_response_time", "max_notification_response_time"):
-            if not getattr(self, name) >= 0:  # also refuses NaN
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        if self.initial_qos_level not in QOS_LEVEL_RATE_FACTOR:
-            raise ValueError(f"initial_qos_level must be one of {sorted(QOS_LEVEL_RATE_FACTOR)}")
+            value = getattr(self, name)
+            if not (is_real(value) and value >= 0):  # also refuses NaN
+                raise ValueError(f"{name} must be a number >= 0, got {value!r}")
+        if not isinstance(self.qos_reduction_allowed, bool):
+            raise ValueError(
+                f"qos_reduction_allowed must be a boolean, got {self.qos_reduction_allowed!r}"
+            )
+        level = self.initial_qos_level
+        if not (is_count(level) and level in QOS_LEVEL_RATE_FACTOR):
+            raise ValueError(
+                f"initial_qos_level must be one of {sorted(QOS_LEVEL_RATE_FACTOR)}, got {level!r}"
+            )
+        if not isinstance(self.caps, dict):
+            raise ValueError(f"caps must be an object of integers, got {self.caps!r}")
         unknown = set(self.caps) - set(_DEFAULT_CAPS)
         if unknown:
             raise ValueError(f"unknown caps: {sorted(unknown)}")
-        if any(cap < 1 for cap in self.caps.values()):
-            raise ValueError(f"caps must be >= 1, got {self.caps!r}")
+        if not all(is_count(cap) and cap >= 1 for cap in self.caps.values()):
+            raise ValueError(f"caps must be integers >= 1, got {self.caps!r}")
         object.__setattr__(self, "caps", {**_DEFAULT_CAPS, **self.caps})
 
 

@@ -35,6 +35,17 @@ class NotEnabledError(SpnError):
     """Attempt to fire or rate a transition that is not enabled."""
 
 
+def is_count(value) -> bool:
+    """A whole number: a Python ``int`` but not a ``bool`` (JSON true is no count),
+    within int64, in which markings and arc weights are stored."""
+    return isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**63
+
+
+def is_real(value) -> bool:
+    """A real number: a ``float`` or a count; a longer ``int`` is refused, not rounded."""
+    return isinstance(value, float) or is_count(value)
+
+
 @dataclass(frozen=True)
 class Place:
     name: str
@@ -49,11 +60,19 @@ class Transition:
     semantics: str = SINGLE_SERVER
 
 
-def _frozen_int_matrix(m, shape) -> np.ndarray:
-    a = np.asarray(m, dtype=np.int64)
+def _frozen_int_matrix(m, shape, label) -> np.ndarray:
+    # an integer array converts as is; anything else is checked element by
+    # element, since numpy would truncate 1.5 and turn [[True, 1]] into int64
+    exact = isinstance(m, np.ndarray) and np.issubdtype(m.dtype, np.integer)
+    a = np.asarray(m, dtype=None if exact else object)
     if a.shape != shape:
         raise DimensionError(f"matrix shape {a.shape} != expected {shape}")
-    a = a.copy()
+    bad = [] if exact else [v for v in a.flat if not is_count(v)]
+    if bad:
+        raise ValueError(f"{label} arc weights must be integers, got {bad[0]!r}")
+    a = a.astype(np.int64)
+    if (a < 0).any():
+        raise ValueError(f"negative entries in {label} matrix")
     a.setflags(write=False)
     return a
 
@@ -76,16 +95,18 @@ class SpnNet:
         object.__setattr__(self, "places", tuple(self.places))
         object.__setattr__(self, "transitions", tuple(self.transitions))
         shape = (len(self.places), len(self.transitions))
-        object.__setattr__(self, "pre", _frozen_int_matrix(self.pre, shape))
-        object.__setattr__(self, "post", _frozen_int_matrix(self.post, shape))
         inh = self.inh if self.inh is not None else np.zeros(shape, dtype=np.int64)
-        object.__setattr__(self, "inh", _frozen_int_matrix(inh, shape))
-        object.__setattr__(
-            self, "_place_index", {p.name: i for i, p in enumerate(self.places)}
-        )
-        object.__setattr__(
-            self, "_transition_index", {t.name: i for i, t in enumerate(self.transitions)}
-        )
+        for label, m in (("pre", self.pre), ("post", self.post), ("inh", inh)):
+            object.__setattr__(self, label, _frozen_int_matrix(m, shape, label))
+
+    # built on first use: validate_net reports a name that is no string
+    @cached_property
+    def _place_index(self):
+        return {p.name: i for i, p in enumerate(self.places)}
+
+    @cached_property
+    def _transition_index(self):
+        return {t.name: i for i, t in enumerate(self.transitions)}
 
     @property
     def n_places(self) -> int:
@@ -138,29 +159,31 @@ def validate_net(net: SpnNet) -> list[str]:
     if net.n_transitions < 1:
         violations.append("net has no transitions")
 
-    seen = set()
+    for kind, nodes in (("place", net.places), ("transition", net.transitions)):
+        seen = set()
+        for node in nodes:
+            if not isinstance(node.name, str):
+                violations.append(f"{kind} name not a string: {node.name!r}")
+            elif node.name in seen:
+                violations.append(f"duplicate name: {kind} {node.name!r}")
+            else:
+                seen.add(node.name)
     for p in net.places:
-        if p.name in seen:
-            violations.append(f"duplicate name: place {p.name!r}")
-        seen.add(p.name)
-        if p.tokens < 0:
+        if not is_count(p.tokens):
+            violations.append(f"initial tokens on place {p.name!r} not an integer: {p.tokens!r}")
+        elif p.tokens < 0:
             violations.append(f"negative initial tokens on place {p.name!r}")
-    seen = set()
     for t in net.transitions:
-        if t.name in seen:
-            violations.append(f"duplicate name: transition {t.name!r}")
-        seen.add(t.name)
-        if not (t.rate > 0.0 and math.isfinite(t.rate)):
+        if not is_real(t.rate):
+            violations.append(f"rate on transition {t.name!r} not a number: {t.rate!r}")
+        elif not (t.rate > 0.0 and math.isfinite(t.rate)):
             violations.append(f"non-positive rate on transition {t.name!r}: {t.rate}")
-        if t.priority < 0:
+        if not is_count(t.priority):
+            violations.append(f"priority on transition {t.name!r} not an integer: {t.priority!r}")
+        elif t.priority < 0:
             violations.append(f"negative priority on transition {t.name!r}")
         if t.semantics not in SERVER_SEMANTICS:
-            violations.append(
-                f"unknown server semantics on transition {t.name!r}: {t.semantics!r}"
-            )
-    for label, mat in (("pre", net.pre), ("post", net.post), ("inh", net.inh)):
-        if (mat < 0).any():
-            violations.append(f"negative entries in {label} matrix")
+            violations.append(f"unknown semantics on transition {t.name!r}: {t.semantics!r}")
     return violations
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import INFINITE_SERVER, SINGLE_SERVER, Place, SpnNet, Transition
+from .net import INFINITE_SERVER, SINGLE_SERVER, Place, SpnNet, Transition, is_count, is_real
 from .reachability import Ctmc
 from .solver import (
     MetricsReport,
@@ -101,11 +101,11 @@ class PubSubParams:
     def __post_init__(self):
         for name in _POPULATIONS + _RESOURCE_FACTORS:
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            if not (is_count(v) and v >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         for name in _RATES:
             v = getattr(self, name)
-            if not (float(v) > 0.0 and np.isfinite(v)):
+            if not (is_real(v) and v > 0.0 and np.isfinite(v)):
                 raise ValueError(f"{name} must be a positive rate, got {v!r}")
 
 
@@ -243,10 +243,9 @@ def headline_metrics(ctmc: Ctmc, dist: StationaryDistribution) -> MetricsReport:
 
 def set_factor(params: PubSubParams, factor: str, value) -> PubSubParams:
     """Return new params with one influencing factor changed; ``PubSubParams``
-    checks its range."""
+    checks the value's type and range."""
     if factor not in FACTOR_NAMES:
         raise ValueError(f"unknown factor {factor!r}; expected one of {FACTOR_NAMES}")
-    value = float(value) if factor == "r_pub_qos" else int(value)
     return dataclasses.replace(params, **{factor: value})
 
 

@@ -672,3 +672,67 @@ def test_policy_action_order_is_a_list_of_distinct_actions(
     assert code == 2
     assert out == ""
     assert "action_order" in err
+
+
+# -- the Python API and the documents refuse the same values ---------------
+
+def test_a_bool_rate_in_a_params_document_exits_2(tmp_path, capsys):
+    # it was analysed at rate 1.0, and export-net wrote "rate": true
+    doc = dict(files.params_to_document(PubSubParams()), r_publish=True)
+    with pytest.raises(files.FormatError, match="r_publish"):
+        files.params_from_document(doc)
+    for command in ("analyze", "export-net"):
+        code, out, err = run_cli(capsys, command, write_doc(tmp_path, doc))
+        assert code == 2, command
+        assert out == ""
+        assert "r_publish" in err
+
+
+def test_integer_rates_round_trip_through_export_net(tmp_path, capsys):
+    doc = dict(files.params_to_document(PubSubParams()), r_publish=2, r_notify=4)
+    params_path = write_doc(tmp_path, doc)
+    code, by_params, _ = run_cli(capsys, "analyze", params_path)
+    assert code == 0
+    code, exported, _ = run_cli(capsys, "export-net", params_path)
+    assert code == 0
+    net_path = tmp_path / "net.json"
+    net_path.write_text(exported)
+    code, by_net, _ = run_cli(capsys, "analyze", str(net_path))
+    assert code == 0
+    assert (
+        json.loads(by_net)["transition_throughputs"]
+        == json.loads(by_params)["transition_throughputs"]
+    )
+
+
+def test_a_negative_action_budget_in_a_policy_exits_2(tmp_path, params_file, capsys, monkeypatch):
+    doc = {
+        "max_accept_publication_response_time": 0.0,
+        "max_notification_response_time": 0.0,
+        "max_actions_per_snapshot": -3,
+    }
+    with pytest.raises(files.FormatError, match="max_actions_per_snapshot"):
+        files.policy_from_document(doc)
+    refuse_evaluation(monkeypatch)
+    trace = write_trace(tmp_path, [{"t": 1.0, "publishers": 2, "subscribers": 2, "events": 3}])
+    code, out, err = run_cli(capsys, "monitor", trace, params_file, write_doc(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert "max_actions_per_snapshot" in err
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("places", "initial", 10**30), ("arcs", "weight", 10**30), ("transitions", "rate", 10**400)],
+    ids=["initial", "weight", "rate"],
+)
+def test_integers_beyond_int64_exit_2(tmp_path, capsys, section, key, value):
+    # int64 conversion and float() raised OverflowError: a traceback, exit 1
+    doc = files.net_to_document(mm1k_net(1.0, 2.0, 2))
+    doc[section][0][key] = value
+    with pytest.raises(files.FormatError, match=key):
+        files.net_from_document(doc)
+    code, out, err = run_cli(capsys, "analyze", write_doc(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert key in err

@@ -233,3 +233,34 @@ def test_policy_counts_must_be_integers(overrides, field_name):
 def test_policy_refuses_a_repeated_action():
     with pytest.raises(ValueError, match="action_order repeats"):
         MonitorPolicy(1.0, 1.0, action_order=(GROW_BROKER_MEMORY, GROW_BROKER_MEMORY))
+
+
+@pytest.mark.parametrize(
+    "counts", [(2.5, 2, 3), (2, True, 3), (2, 2, 3.5), (2, 2, True)]
+)
+def test_snapshot_counts_must_be_integers(counts):
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        WorkloadSnapshot(1.0, *counts)
+
+
+def test_snapshot_keeps_a_float_timestamp():
+    assert WorkloadSnapshot(1, 2, 2, 3).timestamp == 1.0
+    assert isinstance(WorkloadSnapshot(1, 2, 2, 3).timestamp, float)
+
+
+def test_policy_threshold_must_not_be_a_bool():
+    with pytest.raises(ValueError, match="max_notification_response_time"):
+        MonitorPolicy(1.0, True)
+
+
+def test_policy_refuses_a_negative_action_budget():
+    # -3 used to be taken, and run_loop reported exhausted_actions without acting
+    with pytest.raises(ValueError, match="max_actions_per_snapshot"):
+        MonitorPolicy(0.0, 0.0, max_actions_per_snapshot=-3)
+
+
+def test_a_zero_action_budget_only_observes():
+    policy = MonitorPolicy(0.0, 0.0, max_actions_per_snapshot=0)
+    (record,) = run_loop([WorkloadSnapshot(1.0, 2, 2, 3)], PubSubParams(), policy)
+    assert record.actions == ()
+    assert record.outcome == EXHAUSTED_ACTIONS

@@ -160,3 +160,39 @@ def test_fire_never_goes_negative_and_priorities_are_uniform(case):
     assert len(prios) <= 1
     for t in enabled:
         assert all(x >= 0 for x in fire(net, m, t))
+
+
+# -- values are refused, never truncated ---------------------------------
+
+@pytest.mark.parametrize(
+    "place, transition, word",
+    [
+        (Place("a", 2.5), Transition("t", 1.0), "initial tokens"),
+        (Place("a", 1), Transition("t", 1.0, priority=0.5), "priority"),
+    ],
+)
+def test_fractional_tokens_and_priorities_are_violations(place, transition, word):
+    # explore used to truncate both: 2.5 tokens became 2, priority 0.5 became 0
+    from spnperf.reachability import InvalidNetError, explore
+
+    net = SpnNet((place,), (transition,), [[1]], [[1]])
+    assert any(word in v for v in validate_net(net))
+    with pytest.raises(InvalidNetError, match=word):
+        explore(net)
+
+
+@pytest.mark.parametrize("weight", [1.5, True])
+def test_matrix_weights_must_be_integers(weight):
+    # numpy stored 1.5 as 1 and turned [[True, 1]] into int64 ones
+    with pytest.raises(ValueError, match="weight"):
+        SpnNet((Place("a", 1),), (Transition("t", 1.0), Transition("u", 1.0)),
+               [[weight, 1]], [[1, 1]])
+    with pytest.raises(ValueError, match="weight"):
+        SpnNet((Place("a", 1),), (Transition("t", 1.0),), [[1]], [[weight]])
+
+
+def test_integer_arrays_and_lists_stay_legal():
+    for pre in (np.array([[2]], dtype=np.int32), np.array([[2]]), [[2]], ((2,),)):
+        net = SpnNet((Place("a", 2),), (Transition("t", 1.0),), pre, [[2]])
+        assert net.pre.dtype == np.int64 and net.pre[0, 0] == 2
+        assert validate_net(net) == []

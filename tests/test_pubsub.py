@@ -182,3 +182,16 @@ def test_boundedness_via_invariants():
     }
     for name, cap in caps.items():
         assert arr[:, PLACE_NAMES.index(name)].max() <= cap
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+def test_set_factor_refuses_instead_of_converting(value):
+    # set_factor used to pass the value through int(): 2.5 became 2, True 1
+    with pytest.raises(ValueError, match="broker_memory"):
+        set_factor(PubSubParams(), "broker_memory", value)
+
+
+def test_a_bool_rate_is_refused():
+    # float(True) > 0 used to let it through as rate 1.0
+    with pytest.raises(ValueError, match="r_publish"):
+        PubSubParams(r_publish=True)
