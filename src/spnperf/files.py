@@ -1,7 +1,8 @@
 """JSON document formats: nets, model params, policies, traces and reports.
 
-Loaders check only the JSON shape: required and unknown keys, lists and
-objects where the format has them, and arc references to node names.
+Loaders check only the JSON shape: required and unknown keys, no key
+repeated within an object, lists and objects where the format has them,
+and arc references to node names.
 Every value is checked by the object it builds (``validate_net`` and
 ``SpnNet`` for nets, ``PubSubParams``, ``MonitorPolicy``,
 ``WorkloadSnapshot``), whose ``ValueError`` becomes a ``FormatError``.  So
@@ -130,13 +131,30 @@ def params_from_document(doc: dict) -> PubSubParams:
     return _construct(PubSubParams, doc, "params document")
 
 
+def _unique_keys(pairs):
+    # the object_pairs_hook of every loader: json.loads would let the last
+    # of two equal keys overwrite the first without a word
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise FormatError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def _decode(text: str, what: str):
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{what}: not valid JSON ({exc})") from exc
+    except FormatError as exc:
+        raise FormatError(f"{what}: {exc}") from exc
+
+
 def load_json(path):
     """Read one JSON document from a file."""
     with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+        return _decode(fh.read(), path)
 
 
 def load_model_file(path) -> SpnNet | PubSubParams:
@@ -162,11 +180,8 @@ def read_trace(lines) -> list[WorkloadSnapshot]:
         line = line.strip()
         if not line:
             continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"trace line {lineno}: not valid JSON ({exc})") from exc
         what = f"trace line {lineno}"
+        doc = _decode(line, what)
         _require_keys(doc, ("t", "publishers", "subscribers", "events"), what=what)
         try:
             snap = WorkloadSnapshot(

@@ -5,6 +5,22 @@ entries making each row sum to zero.  Small chains are solved directly
 by GTH elimination inside the band of Q in reverse Cuthill-McKee order;
 larger chains fall back to Gauss-Seidel sweeps on pi*Q = 0 with
 renormalization.  A non-finite result is never returned.
+
+The direct solve eliminates 32 states at a time.  A block's own states
+are eliminated one by one in a small array that stands in for the rest
+of the chain with two kinds of extra entries: one aggregate column,
+holding each block row's summed rates into the band window below the
+block, which is all a pivot needs of the window; and identity seeds,
+which the same eliminations turn into T = (I - N)^-1 and V = (S - M)^-1,
+where minus the block's part of the generator factors as (I - N)(S - M).
+Three matrix products then update the block's rows (T @ R0), its columns
+(C0 @ V) and the window (C @ R).  All of these entries, and every
+operation on them, are non-negative sums, products and quotients, so
+GTH's componentwise accuracy (O'Cinneide 1993) holds as it does one
+state at a time.
+
+Gauss-Seidel factors its lower triangle once and reuses the factor in
+every sweep.
 """
 
 from __future__ import annotations
@@ -110,8 +126,19 @@ def _solve_direct(q, tol: float, block: int = 32) -> tuple[np.ndarray, int]:
     # componentwise relative accuracy in any elimination order (O'Cinneide
     # 1993).  In reverse Cuthill-McKee order Q has half-bandwidth b, so
     # eliminating state k touches only [k - b, k): no fill, O(n b^2) work.
-    # Rank-1 updates are applied eagerly inside a block of states and to
-    # its rows and columns; the window left of it takes one matrix product.
+    #
+    # States [lo, hi) go as one block B of m states over the window
+    # W = [lo - b, lo) below it.  Minus the generator's B part factors as
+    # (I - N)(S - M): N the pivot-scaled columns a[j, k] / s_k, S - M the
+    # rows at each pivot.  g holds m seeds, an aggregate column and B.
+    # The aggregate column starts as each B row's sum over W and is
+    # updated like any column, so it stays that sum, and each pivot s_k
+    # is the rest of B's row plus it.  Seed column i starts as e_i in B's
+    # rows and ends as column i of T = (I - N)^-1; seed row i starts as e_i
+    # in B's columns and ends as row i of V = (S - M)^-1.  Then W's scaled
+    # columns into B are C0 @ V, B's rows into W are T @ R0, and W gains
+    # C @ R.  Each entry is built from sums, products and quotients of
+    # non-negative numbers: nothing is subtracted.
     perm = scipy.sparse.csgraph.reverse_cuthill_mckee(abs(q) + abs(q.T), symmetric_mode=True)
     qp = q[perm][:, perm].tocoo()
     b = int(np.abs(qp.row - qp.col).max())
@@ -121,14 +148,22 @@ def _solve_direct(q, tol: float, block: int = 32) -> tuple[np.ndarray, int]:
     hi = n
     while hi > 1:
         lo = max(hi - block, 1)
-        w0 = max(lo - b, 0)
-        for k in range(hi - 1, lo - 1, -1):
-            w = max(k - b, 0)
-            a[w:k, k] /= a[k, w:k].sum()
-            bk = slice(lo, k)
-            a[bk, w:k] += np.outer(a[bk, k], a[k, w:k])
-            a[w0:lo, bk] += np.outer(a[w0:lo, k], a[k, bk])
-        a[w0:lo, w0:lo] += a[w0:lo, lo:hi] @ a[lo:hi, w0:lo]
+        m = hi - lo
+        win, blk = slice(max(lo - b, 0), lo), slice(lo, hi)
+        g = np.zeros((2 * m + 1, 2 * m + 1))
+        g[:m, m + 1 :] = np.eye(m)
+        g[m + 1 :, :m] = np.eye(m)
+        g[m + 1 :, m] = a[blk, win].sum(axis=1)
+        g[m + 1 :, m + 1 :] = a[blk, blk]
+        for k in range(2 * m, m, -1):
+            col = g[:k, k]
+            col /= g[k, m:k].sum()
+            g[:k, :k] += col[:, None] * g[k, :k]
+        t, v = g[m + 1 :, :m], g[:m, m + 1 :]
+        r = t @ a[blk, win]
+        a[win, blk] = a[win, blk] @ v
+        a[win, win] += a[win, blk] @ r
+        a[blk, blk] = g[m + 1 :, m + 1 :]
         hi = lo
     # x multiplies probability ratios: rescale it (exactly) before it overflows
     x = np.empty(n)
@@ -144,21 +179,28 @@ def _solve_direct(q, tol: float, block: int = 32) -> tuple[np.ndarray, int]:
 
 
 def _solve_gauss_seidel(q, tol: float) -> tuple[np.ndarray, int]:
+    # Each sweep solves (D + L) x' = -U x with Q^T = D + L + U.  In natural
+    # column order with the diagonal as pivot, SuperLU factors the triangle
+    # D + L without permuting or filling it, once; a sweep is then two
+    # substitutions.  The residual reads Q^T x, which is pi Q without a
+    # transpose per sweep.
     n = q.shape[0]
     a = scipy.sparse.csr_matrix(q.T)
-    lower = scipy.sparse.tril(a, k=0, format="csr")
+    lower = scipy.sparse.linalg.splu(
+        scipy.sparse.tril(a, format="csc"), permc_spec="NATURAL", diag_pivot_thresh=0.0
+    )
     upper = scipy.sparse.triu(a, k=1, format="csr")
     x = np.full(n, 1.0 / n)
     for sweep in range(1, DEFAULT_MAX_ITER + 1):
-        rhs = -(upper @ x)
-        x = scipy.sparse.linalg.spsolve_triangular(lower, rhs, lower=True)
+        x = lower.solve(-(upper @ x))
         total = x.sum()
         if total == 0.0:
             raise ConvergenceError(np.inf, sweep)
         x = x / total
-        if _residual(x, q) <= tol:
+        residual = float(np.abs(a @ x).max())
+        if residual <= tol:
             return x, sweep
-    raise ConvergenceError(_residual(x, q), DEFAULT_MAX_ITER)
+    raise ConvergenceError(residual, DEFAULT_MAX_ITER)
 
 
 def steady_state(

@@ -736,3 +736,68 @@ def test_integers_beyond_int64_exit_2(tmp_path, capsys, section, key, value):
     assert code == 2
     assert out == ""
     assert key in err
+
+
+# -- a key repeated within one JSON object ------------------------------------
+
+def repeat_key(doc, key, first):
+    """``doc`` as JSON text with ``key`` given twice in the first object that
+    has it: ``first``, then the document's own value, which json keeps."""
+    text = json.dumps(doc)
+    return text.replace(f'"{key}": ', f'"{key}": {json.dumps(first)}, "{key}": ', 1)
+
+
+def test_a_params_document_with_a_repeated_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    path.write_text(repeat_key(files.params_to_document(PubSubParams()), "n_events", 9))
+    with pytest.raises(files.FormatError, match="repeated key 'n_events'"):
+        files.load_json(path)
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert "n_events" in err
+
+
+def test_a_net_document_with_a_repeated_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(repeat_key(files.net_to_document(mm1k_net(1.0, 2.0, 2)), "rate", 5.0))
+    with pytest.raises(files.FormatError, match="repeated key 'rate'"):
+        files.load_json(path)
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert "rate" in err
+
+
+def test_a_policy_document_with_a_repeated_key_exits_2(
+    tmp_path, params_file, capsys, monkeypatch
+):
+    doc = {
+        "max_accept_publication_response_time": 2.8,
+        "max_notification_response_time": 3.7,
+        "step": 2,
+    }
+    # json alone loads this with step 2
+    path = tmp_path / "policy.json"
+    path.write_text(repeat_key(doc, "step", 2.5))
+    with pytest.raises(files.FormatError, match="repeated key 'step'"):
+        files.load_json(path)
+    refuse_evaluation(monkeypatch)
+    trace = write_trace(tmp_path, [{"t": 1.0, "publishers": 2, "subscribers": 2, "events": 3}])
+    code, out, err = run_cli(capsys, "monitor", trace, params_file, str(path))
+    assert code == 2
+    assert out == ""
+    assert "step" in err
+
+
+def test_a_trace_line_with_a_repeated_key_exits_2(tmp_path, params_file, capsys, monkeypatch):
+    line = repeat_key({"t": 1.0, "publishers": 2, "subscribers": 2, "events": 1}, "events", 3)
+    with pytest.raises(files.FormatError, match="trace line 1: repeated key 'events'"):
+        files.read_trace([line])
+    refuse_evaluation(monkeypatch)
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "monitor", str(trace), params_file, write_policy(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "events" in err

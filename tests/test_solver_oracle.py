@@ -5,11 +5,19 @@ state order: no reordering and no band.  GTH keeps componentwise relative
 accuracy in every elimination order, so the banded solve in reverse
 Cuthill-McKee order must agree with it entry by entry, tail states included,
 not just in norm.
+
+Gauss-Seidel, which factors its triangle once, is checked against a sweep
+loop that solves the triangle afresh each sweep: same sweep count, same
+probabilities to 1e-12 componentwise.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.csgraph
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -191,3 +199,74 @@ def test_non_finite_distribution_is_refused(monkeypatch, bad):
     monkeypatch.setattr(solver, "_solve_direct", broken)
     with pytest.raises(ConvergenceError):
         steady_state(explore(mm1k_net(1.0, 2.0, 3)), method="direct")
+
+
+# -- the blocked elimination: band below, equal to and above the block --------
+
+@pytest.mark.parametrize("n", [BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 2 * BLOCK + 2])
+def test_narrow_band_chain_over_whole_and_partial_blocks_matches_dense(n):
+    # b = 1, far below the block: each block's window is one state.  The
+    # load grows the tail, unlike the block-edge case above
+    ctmc = explore(mm1k_net(2.0, 1.3, n - 1))
+    assert ctmc.n_states == n
+    assert rcm_bandwidth(generator_matrix(ctmc)) == 1
+    assert_matches_dense(ctmc)
+
+
+@pytest.mark.parametrize("n, band", [(BLOCK + 1, BLOCK), (2 * BLOCK + 1, 2 * BLOCK)])
+def test_complete_chain_with_band_equal_to_and_above_the_block_matches_dense(n, band):
+    # a window as wide as the block, then twice as wide
+    ctmc = explore(complete_chain(n, seed=1000 + n))
+    assert rcm_bandwidth(generator_matrix(ctmc)) == band
+    assert_matches_dense(ctmc)
+
+
+def test_monitor_trace_chain_at_3900_states_forced_direct_matches_dense():
+    # the largest monitor-trace structure, with rates jittered by up to 2%
+    # as the benchmark's monitor-trace workload draws them; auto would take
+    # Gauss-Seidel here
+    overrides, n_states = PUBSUB_CONFIGS[-1]
+    rng = np.random.default_rng(3900)
+    base = PubSubParams()
+    rates = {
+        f.name: getattr(base, f.name) * float(np.exp(rng.uniform(-0.02, 0.02)))
+        for f in dataclasses.fields(PubSubParams)
+        if f.name.startswith("r_")
+    }
+    ctmc = explore(build_pubsub_net(PubSubParams(**overrides, **rates)))
+    assert ctmc.n_states == n_states > solver.DIRECT_STATE_LIMIT
+    assert_matches_dense(ctmc)
+
+
+# -- Gauss-Seidel against a sweep loop that re-solves its triangle ------------
+
+def reference_gauss_seidel(q, tol):
+    """Gauss-Seidel as the solver first ran it: each sweep solves the lower
+    triangle of Q^T afresh and tests the residual on pi Q."""
+    n = q.shape[0]
+    a = scipy.sparse.csr_matrix(q.T)
+    lower = scipy.sparse.tril(a, k=0, format="csr")
+    upper = scipy.sparse.triu(a, k=1, format="csr")
+    x = np.full(n, 1.0 / n)
+    for sweep in range(1, solver.DEFAULT_MAX_ITER + 1):
+        rhs = -(upper @ x)
+        x = scipy.sparse.linalg.spsolve_triangular(lower, rhs, lower=True)
+        x = x / x.sum()
+        if np.abs(x @ q).max() <= tol:
+            return x, sweep
+    raise AssertionError("the reference did not converge")
+
+
+@pytest.mark.parametrize("overrides,n_states", PUBSUB_CONFIGS[2:])
+def test_gauss_seidel_matches_the_per_sweep_triangular_solve(overrides, n_states):
+    # the three monitor-trace chains above DIRECT_STATE_LIMIT
+    ctmc = explore(build_pubsub_net(PubSubParams(**overrides)))
+    assert ctmc.n_states == n_states > solver.DIRECT_STATE_LIMIT
+    q = generator_matrix(ctmc)
+    expected, sweeps = reference_gauss_seidel(q, solver.DEFAULT_TOL)
+    pi, iterations = solver._solve_gauss_seidel(q, solver.DEFAULT_TOL)
+    assert iterations == sweeps
+    assert_componentwise(pi, expected)
+    dist = steady_state(ctmc)
+    assert (dist.method, dist.iterations) == ("iterative", sweeps)
+    assert_componentwise(dist.probabilities, expected)
