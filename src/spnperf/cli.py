@@ -84,15 +84,21 @@ def cmd_sweep(args) -> int:
         raise ValueError(
             f"unknown factor {factor!r}; expected {NETWORK_BUFFER!r} or one of {FACTOR_NAMES}"
         )
-    values = _parse_values(factor, args.values)
     factors = NETWORK_BUFFERS if factor == NETWORK_BUFFER else (factor,)
-
-    print(SWEEP_HEADER)
-    for value in values:
+    # every point is built before any row is printed, so a bad value exits
+    # 2 with nothing on stdout
+    points = []
+    for value in _parse_values(factor, args.values):
         params = model
         for name in factors:
             params = set_factor(params, name, value)
-        ctmc, dist, report = solve_model(params, args.max_states, args.tol)
+        points.append((value, params))
+
+    print(SWEEP_HEADER)
+    ctmc = None
+    for value, params in points:
+        # a point that changes only rates re-rates the previous point's chain
+        ctmc, dist, report = solve_model(params, args.max_states, args.tol, _previous=ctmc)
         accept = report.response_times["accept_publication_response_time"]
         notify = report.response_times["notification_response_time"]
         row = (

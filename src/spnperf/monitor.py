@@ -23,7 +23,7 @@ from .pubsub import (
     qos_rate,
     set_factor,
 )
-from .reachability import DEFAULT_MAX_STATES, explore
+from .reachability import DEFAULT_MAX_STATES, explore, rerate
 from .solver import DEFAULT_TOL, MetricsReport, chain_metrics, steady_state
 
 GROW_NETWORK_BUFFERS = "grow_network_buffers"
@@ -124,15 +124,22 @@ class DecisionRecord:
     outcome: str
 
 
-def solve_model(model, max_states: int = DEFAULT_MAX_STATES, tol: float = DEFAULT_TOL):
+def solve_model(
+    model, max_states: int = DEFAULT_MAX_STATES, tol: float = DEFAULT_TOL, _previous=None
+):
     """Explore and solve a model; return ``(ctmc, dist, report)``.
 
     ``model`` is a ``PubSubParams``, reported by ``headline_metrics``, or an
     ``SpnNet``, reported by ``chain_metrics``.  This is the only path from
-    a model to its metrics.
+    a model to its metrics.  ``_previous`` is the chain of an earlier solve:
+    when the model's net differs from its net only in transition rates, the
+    chain is re-rated instead of explored again (``reachability.rerate``).
     """
     is_params = isinstance(model, PubSubParams)
-    ctmc = explore(build_pubsub_net(model) if is_params else model, max_states=max_states)
+    net = build_pubsub_net(model) if is_params else model
+    ctmc = None if _previous is None else rerate(_previous, net, max_states)
+    if ctmc is None:
+        ctmc = explore(net, max_states=max_states)
     dist = steady_state(ctmc, tol=tol)
     report = headline_metrics(ctmc, dist) if is_params else chain_metrics(ctmc, dist)
     return ctmc, dist, report

@@ -5,6 +5,15 @@ transitions with exponentially distributed firing delays.  Arc weights are
 kept as dense (place x transition) integer matrices: ``pre`` (tokens
 consumed), ``post`` (tokens produced) and ``inh`` (inhibition thresholds,
 0 meaning "no inhibitor arc").
+
+The firing kernel (``enabling_degree``) walks the arcs, not the dense
+matrices: it gathers the marking at each input and inhibitor arc's place,
+scatters the failed arc tests onto the enabled mask and takes an
+infinite-server transition's degree as the least ``tokens // weight`` over
+its input arcs.  The degree is 0 for a disabled transition and 1 for an
+enabled single-server one or one without inputs, so a rate is always
+``base rate * degree``: the degree holds the structure, the base rate the
+timing.
 """
 
 from __future__ import annotations
@@ -139,16 +148,56 @@ class SpnNet:
         return d
 
     @cached_property
-    def _kernel_columns(self):
-        # base rates, priorities and the infinite-server transitions that
-        # have input arcs
+    def base_rates(self) -> np.ndarray:
+        """Base rate of each transition, as a read-only float array."""
         rates = np.array([t.rate for t in self.transitions], dtype=np.float64)
+        rates.setflags(write=False)
+        return rates
+
+    @cached_property
+    def _kernel_columns(self):
+        # the arcs as columns: input arcs (place, transition, weight) in
+        # transition order, inhibitor arcs (place, transition, threshold),
+        # the priorities (None when all are equal: then they mask nothing),
+        # and the infinite-server transitions with inputs, with the input
+        # arcs of each and the offset of each one's first arc among them
+        in_trans, in_place = np.nonzero(self.pre.T)
+        inh_trans, inh_place = np.nonzero(self.inh.T)
         prio = np.array([t.priority for t in self.transitions], dtype=np.int64)
-        infinite = np.flatnonzero(
-            np.array([t.semantics == INFINITE_SERVER for t in self.transitions], dtype=bool)
-            & (self.pre > 0).any(axis=0)
+        infinite_arc = np.array(
+            [self.transitions[t].semantics == INFINITE_SERVER for t in in_trans.tolist()],
+            dtype=bool,
         )
-        return rates, prio, infinite
+        is_trans, is_place = in_trans[infinite_arc], in_place[infinite_arc]
+        first = np.flatnonzero(np.diff(is_trans, prepend=-1))
+        return _KernelColumns(
+            in_place=in_place,
+            in_trans=in_trans,
+            in_weight=self.pre[in_place, in_trans],
+            inh_place=inh_place,
+            inh_trans=inh_trans,
+            inh_threshold=self.inh[inh_place, inh_trans],
+            prio=prio if np.unique(prio).size > 1 else None,
+            infinite=is_trans[first],
+            infinite_place=is_place,
+            infinite_weight=self.pre[is_place, is_trans],
+            infinite_first=first,
+        )
+
+
+@dataclass(frozen=True)
+class _KernelColumns:
+    in_place: np.ndarray
+    in_trans: np.ndarray
+    in_weight: np.ndarray
+    inh_place: np.ndarray
+    inh_trans: np.ndarray
+    inh_threshold: np.ndarray
+    prio: np.ndarray | None
+    infinite: np.ndarray
+    infinite_place: np.ndarray
+    infinite_weight: np.ndarray
+    infinite_first: np.ndarray
 
 
 def validate_net(net: SpnNet) -> list[str]:
@@ -187,37 +236,50 @@ def validate_net(net: SpnNet) -> list[str]:
     return violations
 
 
-def enabled_rates(net: SpnNet, markings) -> tuple[np.ndarray, np.ndarray]:
-    """The firing kernel: enabled transitions and their rates for a block of markings.
+def enabling_degree(net: SpnNet, markings) -> np.ndarray:
+    """The firing kernel: the enabling degree of every transition in a block of markings.
 
     ``markings`` is an (F, n_places) integer array.  Returns an (F,
-    n_transitions) boolean mask and an (F, n_transitions) float array of
-    effective rates (0.0 where disabled).  A transition is enabled when every
-    input place holds at least its arc weight and every inhibitor place
-    stays below its threshold; of those, only the ones of maximal priority
-    in the row remain enabled.  Single-server transitions fire at their base
-    rate; infinite-server transitions scale it by the enabling degree (1 for
-    a transition without inputs).
+    n_transitions) int64 array, 0 where a transition is disabled.  A
+    transition is enabled when every input place holds at least its arc
+    weight and every inhibitor place stays below its threshold; of those,
+    only the ones of maximal priority in the row remain enabled.  An
+    enabled single-server transition, or one without inputs, has degree 1;
+    an enabled infinite-server transition has the least ``tokens // weight``
+    over its input arcs.
     """
     m = np.asarray(markings, dtype=np.int64)
     if m.ndim != 2 or m.shape[1] != net.n_places:
         raise DimensionError(
             f"marking block shape {m.shape} does not match {net.n_places} places"
         )
-    base, prio, infinite = net._kernel_columns
-    cube = m[:, :, None]
-    enabled = (cube >= net.pre).all(axis=1)
-    enabled &= ((net.inh == 0) | (cube < net.inh)).all(axis=1)
-    masked = np.where(enabled, prio, -1)
-    enabled &= masked == masked.max(axis=1, keepdims=True, initial=-1)
-    rates = np.where(enabled, base, 0.0)
-    if infinite.size:
-        pre = net.pre[:, infinite]
-        degree = np.where(
-            pre > 0, cube // np.maximum(pre, 1), np.iinfo(np.int64).max
-        ).min(axis=1)
-        rates[:, infinite] = np.where(enabled[:, infinite], base[infinite] * degree, 0.0)
-    return enabled, rates
+    arcs = net._kernel_columns
+    enabled = np.ones((m.shape[0], net.n_transitions), dtype=bool)
+    rows, k = np.nonzero(m[:, arcs.in_place] < arcs.in_weight)
+    enabled[rows, arcs.in_trans[k]] = False
+    if arcs.inh_place.size:
+        rows, k = np.nonzero(m[:, arcs.inh_place] >= arcs.inh_threshold)
+        enabled[rows, arcs.inh_trans[k]] = False
+    if arcs.prio is not None:
+        masked = np.where(enabled, arcs.prio, -1)
+        enabled &= masked == masked.max(axis=1, keepdims=True)
+    degree = enabled.astype(np.int64)
+    if arcs.infinite.size:
+        degree[:, arcs.infinite] *= np.minimum.reduceat(
+            m[:, arcs.infinite_place] // arcs.infinite_weight, arcs.infinite_first, axis=1
+        )
+    return degree
+
+
+def enabled_rates(net: SpnNet, markings) -> tuple[np.ndarray, np.ndarray]:
+    """Enabled transitions and their rates for a block of markings.
+
+    Returns the (F, n_transitions) boolean mask ``degree > 0`` and the
+    effective rates ``base rate * degree`` (0.0 where disabled) of the
+    ``enabling_degree`` block.
+    """
+    degree = enabling_degree(net, markings)
+    return degree > 0, net.base_rates * degree
 
 
 def _single(net: SpnNet, m: Marking) -> tuple[np.ndarray, np.ndarray]:

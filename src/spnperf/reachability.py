@@ -4,12 +4,20 @@ Breadth-first exploration from the initial marking with first-seen state
 numbering, so identical nets always yield identical state orderings.  The
 search is level-synchronous: unexpanded markings form a frontier matrix that
 is expanded in bounded row blocks by the vectorized firing kernel
-(``net.enabled_rates``), and new markings are numbered in (parent,
+(``net.enabling_degree``), and new markings are numbered in (parent,
 transition) order, which is the order a scalar FIFO search visits them.
+
+Each edge keeps the enabling degree of its transition in its source
+marking, and its rate is the transition's base rate times that degree.
+Rates never decide which markings are reachable, so a net that differs
+from an explored one only in its transition rates has the same states and
+edges: ``rerate`` builds its chain from the explored one by recomputing the
+rate column, without a search.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,7 +27,7 @@ from .net import (
     Marking,
     SpnNet,
     SpnError,
-    enabled_rates,
+    enabling_degree,
     validate_net,
 )
 
@@ -50,8 +58,11 @@ class Ctmc:
 
     ``markings`` is the (n_states, n_places) state matrix; row 0 is the
     initial marking.  Edge ``k`` goes from state ``src[k]`` to ``dst[k]``
-    at rate ``rate[k]`` by firing transition ``trans[k]``; parallel edges
-    from distinct transitions are kept distinct.  All arrays are read-only.
+    at rate ``rate[k]`` by firing transition ``trans[k]``, whose enabling
+    degree in the source marking is ``degree[k]``; ``rate`` is
+    ``net.base_rates[trans] * degree``.  Parallel edges from distinct
+    transitions are kept distinct.  All arrays are read-only, so chains of
+    one structure may share them.
     ``states``, ``edges`` and ``state_index`` are tuple/dict views built on
     first use.
     """
@@ -62,10 +73,11 @@ class Ctmc:
     dst: np.ndarray
     rate: np.ndarray
     trans: np.ndarray
+    degree: np.ndarray
     deadlock_states: frozenset[int]
 
     def __post_init__(self):
-        for name in ("markings", "src", "dst", "rate", "trans"):
+        for name in ("markings", "src", "dst", "rate", "trans", "degree"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -105,6 +117,11 @@ class Ctmc:
         return self.markings
 
 
+def _edge_rates(net: SpnNet, trans: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    # the one expression for edge rates, in explore and in rerate
+    return net.base_rates[trans] * degree
+
+
 def explore(net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctmc:
     """Enumerate all markings reachable from the initial marking.
 
@@ -124,16 +141,16 @@ def explore(net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctmc:
     index = {states[0].tobytes(): 0}
     setdefault = index.setdefault
     width = states.itemsize * net.n_places
-    src, dst, rate, trans, deadlocks = [], [], [], [], []
+    src, dst, trans, degrees, deadlocks = [], [], [], [], []
     done = 0  # states below this id are expanded
     n = 1  # states below this id are known
 
     while done < n:
         hi = min(n, done + BLOCK_ROWS)
         block = states[done:hi]
-        enabled, rates = enabled_rates(net, block)
-        rows, ts = np.nonzero(enabled)  # row-major: parent, then transition
-        deadlocks.extend((done + np.flatnonzero(~enabled.any(axis=1))).tolist())
+        degree = enabling_degree(net, block)
+        rows, ts = np.nonzero(degree)  # row-major: parent, then transition
+        deadlocks.extend((done + np.flatnonzero(~degree.any(axis=1))).tolist())
         succ = block[rows] + delta[ts]
         buf = succ.tobytes()
         # setdefault numbers an unseen marking with the next free id
@@ -156,19 +173,61 @@ def explore(net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctmc:
             n = n_new
         src.append(done + rows)
         dst.append(ids)
-        rate.append(rates[rows, ts])
         trans.append(ts)
+        degrees.append(degree[rows, ts])
         done = hi
 
+    trans = np.concatenate(trans)
+    degree = np.concatenate(degrees)
     return Ctmc(
         net=net,
         markings=states[:n].copy(),
         src=np.concatenate(src),
         dst=np.concatenate(dst),
-        rate=np.concatenate(rate),
-        trans=np.concatenate(trans),
+        rate=_edge_rates(net, trans, degree),
+        trans=trans,
+        degree=degree,
         deadlock_states=frozenset(deadlocks),
     )
+
+
+def _same_structure(a: SpnNet, b: SpnNet) -> bool:
+    # everything but the rates that decides the reachability graph
+    return (
+        a.n_places == b.n_places
+        and a.n_transitions == b.n_transitions
+        and a.initial_marking() == b.initial_marking()
+        and all(
+            (s.priority, s.semantics) == (t.priority, t.semantics)
+            for s, t in zip(a.transitions, b.transitions)
+        )
+        and all(
+            np.array_equal(x, y) for x, y in ((a.pre, b.pre), (a.post, b.post), (a.inh, b.inh))
+        )
+    )
+
+
+def rerate(ctmc: Ctmc, net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctmc | None:
+    """The chain of ``net`` from the explored chain ``ctmc`` of a net of the same structure.
+
+    Returns ``None`` unless ``net`` differs from ``ctmc.net`` only in its
+    transition rates: the same place and transition counts, initial
+    marking, ``pre``, ``post`` and ``inh`` arrays, priorities and
+    semantics.  Otherwise the result shares every array of ``ctmc`` but
+    ``rate``, which it computes as ``explore`` does, so it equals
+    ``explore(net, max_states)`` exactly.
+    Like ``explore``, raises ``InvalidNetError`` for a net failing
+    validation and ``StateExplosionError`` for a chain of more than
+    ``max_states`` states.
+    """
+    violations = validate_net(net)
+    if violations:
+        raise InvalidNetError(violations)
+    if not _same_structure(ctmc.net, net):
+        return None
+    if ctmc.n_states > max(max_states, 1):
+        raise StateExplosionError(max_states)
+    return dataclasses.replace(ctmc, net=net, rate=_edge_rates(net, ctmc.trans, ctmc.degree))
 
 
 def check_place_invariant(ctmc: Ctmc, weights, expected: int):

@@ -184,6 +184,17 @@ def test_sweep_empty_values_prints_header_only(params_file, capsys):
     assert out.strip() == SWEEP_HEADER
 
 
+@pytest.mark.parametrize("values", ["1,1e400", "0.5,-1"])
+def test_sweep_bad_value_exits_2_before_printing(params_file, capsys, values):
+    # every point is checked before the header or any row is printed
+    code, out, err = run_cli(
+        capsys, "sweep", params_file, "--factor", "r_pub_qos", "--values", values
+    )
+    assert code == 2
+    assert out == ""
+    assert "r_pub_qos must be a positive rate" in err
+
+
 def test_sweep_unknown_factor_exits_2(params_file, capsys):
     code, _out, err = run_cli(
         capsys, "sweep", params_file, "--factor", "nope", "--values", "1"

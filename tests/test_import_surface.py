@@ -27,6 +27,20 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_scipy_special_unloaded():
+    # the simulator's Student-t quantile uses only math
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = "import sys, spnperf.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_stdtrit_equals_t_ppf():
     # the simulator's half-width quantile, bit for bit what scipy.stats gives
     for df in range(1, 201):

@@ -1,0 +1,114 @@
+"""The arc-walking firing kernel against the dense (F, P, T) cube kernel.
+
+The oracle below is the kernel as it was first written: it broadcasts every
+marking against the whole ``pre`` and ``inh`` matrices.  The arc kernel must
+give the same enabled masks and bit-identical rates on every marking.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spnperf.net import INFINITE_SERVER, enabled_rates, enabling_degree
+from spnperf.pubsub import PubSubParams, build_pubsub_net
+from spnperf.reachability import explore
+from test_explore_oracle import (
+    bounded_nets,
+    inhibitor_net,
+    priority_net,
+    weighted_infinite_server_net,
+)
+from nets import deadlock_net, mm1k_net, producer_consumer_net, self_loop_net
+
+
+def cube_enabled_rates(net, markings):
+    m = np.asarray(markings, dtype=np.int64)
+    base = np.array([t.rate for t in net.transitions], dtype=np.float64)
+    prio = np.array([t.priority for t in net.transitions], dtype=np.int64)
+    infinite = np.flatnonzero(
+        np.array([t.semantics == INFINITE_SERVER for t in net.transitions], dtype=bool)
+        & (net.pre > 0).any(axis=0)
+    )
+    cube = m[:, :, None]
+    enabled = (cube >= net.pre).all(axis=1)
+    enabled &= ((net.inh == 0) | (cube < net.inh)).all(axis=1)
+    masked = np.where(enabled, prio, -1)
+    enabled &= masked == masked.max(axis=1, keepdims=True, initial=-1)
+    rates = np.where(enabled, base, 0.0)
+    if infinite.size:
+        pre = net.pre[:, infinite]
+        degree = np.where(
+            pre > 0, cube // np.maximum(pre, 1), np.iinfo(np.int64).max
+        ).min(axis=1)
+        rates[:, infinite] = np.where(enabled[:, infinite], base[infinite] * degree, 0.0)
+    return enabled, rates
+
+
+def assert_kernel_matches_cube(net, markings):
+    enabled, rates = enabled_rates(net, markings)
+    want_enabled, want_rates = cube_enabled_rates(net, markings)
+    assert enabled.shape == want_enabled.shape
+    assert (enabled == want_enabled).all()
+    # == on float arrays: the rates must be bit-identical (all are finite)
+    assert (rates == want_rates).all()
+    degree = enabling_degree(net, markings)
+    assert degree.dtype == np.int64
+    assert ((degree > 0) == enabled).all()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        PubSubParams(),
+        PubSubParams(n_events=4, net_recv_buffer=4, net_send_buffer=4, broker_memory=4),
+    ],
+    ids=["default", "3900"],
+)
+def test_every_pubsub_state_matches_cube(params):
+    net = build_pubsub_net(params)
+    assert_kernel_matches_cube(net, explore(net).markings)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [priority_net, inhibitor_net, weighted_infinite_server_net, deadlock_net,
+     self_loop_net, producer_consumer_net, lambda: mm1k_net(1.0, 2.0, 10)],
+)
+def test_small_nets_match_cube_on_a_grid_of_markings(make):
+    net = make()
+    grid = np.stack(
+        np.meshgrid(*[np.arange(6)] * net.n_places, indexing="ij"), axis=-1
+    ).reshape(-1, net.n_places)
+    assert_kernel_matches_cube(net, grid)
+
+
+def test_empty_block_gives_empty_results():
+    net = weighted_infinite_server_net()
+    enabled, rates = enabled_rates(net, np.zeros((0, net.n_places), dtype=np.int64))
+    assert enabled.shape == rates.shape == (0, net.n_transitions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_nets(), st.data())
+def test_random_nets_match_cube_on_random_markings(net, data):
+    markings = data.draw(
+        st.lists(
+            st.lists(st.integers(0, 7), min_size=net.n_places, max_size=net.n_places),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    assert_kernel_matches_cube(net, markings)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounded_nets())
+def test_explored_degrees_match_cube(net):
+    # each edge's degree is its rate in the cube kernel over its base rate
+    ctmc = explore(net)
+    _enabled, rates = cube_enabled_rates(net, ctmc.markings[ctmc.src])
+    base = np.array([t.rate for t in net.transitions])
+    assert (rates[np.arange(ctmc.n_edges), ctmc.trans] == ctmc.rate).all()
+    assert (base[ctmc.trans] * ctmc.degree == ctmc.rate).all()
+    assert (ctmc.degree >= 1).all()

@@ -1,10 +1,17 @@
 import math
+import time
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
-from spnperf.simulator import default_metrics, estimate_metrics, simulate_run
+from spnperf.simulator import (
+    default_metrics,
+    estimate_metrics,
+    simulate_run,
+    student_t_quantile,
+)
 from nets import mm1k_net, self_loop_net, simple_net, two_state_net
 
 
@@ -128,3 +135,31 @@ def test_invalid_net_is_refused():
 def test_warmup_must_end_before_the_horizon(warmup):
     with pytest.raises(ValueError, match="warmup"):
         simulate_run(mm1k_net(1.0, 2.0, 2), horizon=10.0, warmup=warmup)
+
+
+def test_student_t_quantile_matches_stdtrit_for_df_up_to_1000():
+    for df in range(1, 1001):
+        want = float(scipy.special.stdtrit(df, 0.975))
+        assert student_t_quantile(df, 0.975) == pytest.approx(want, rel=1e-13, abs=0), df
+
+
+@pytest.mark.parametrize("p", [0.025, 0.1, 0.6, 0.9, 0.995])
+@pytest.mark.parametrize("df", [1, 2, 3, 7, 29, 300])
+def test_student_t_quantile_at_other_probabilities(df, p):
+    want = float(scipy.special.stdtrit(df, p))
+    assert student_t_quantile(df, p) == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("df", [1001, 4096, 10**4, 54321, 10**5])
+def test_student_t_quantile_stays_fast_and_accurate_for_large_df(df):
+    start = time.perf_counter()
+    got = student_t_quantile(df, 0.975)
+    elapsed = time.perf_counter() - start
+    assert got == pytest.approx(float(scipy.special.stdtrit(df, 0.975)), rel=1e-12, abs=0)
+    assert elapsed < 0.05
+
+
+@pytest.mark.parametrize("df,p", [(0, 0.975), (1, 0.0), (1, 1.0), (2, float("nan"))])
+def test_student_t_quantile_refuses_out_of_range_arguments(df, p):
+    with pytest.raises(ValueError):
+        student_t_quantile(df, p)
