@@ -16,7 +16,7 @@ from .monitor import run_loop, solve_model
 from .pubsub import FACTOR_NAMES, NETWORK_BUFFERS, PubSubParams, build_pubsub_net, set_factor
 from .reachability import DEFAULT_MAX_STATES, InvalidNetError, StateExplosionError
 from .simulator import estimate_metrics
-from .solver import DEFAULT_TOL, ChainStructureError, ConvergenceError
+from .solver import ChainStructureError, ConvergenceError
 
 # Not called here: perfbench/tracing.py times each layer by patching these
 # names in this module, so they must stay importable from it.
@@ -49,11 +49,6 @@ _positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite numb
 _non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 
 
-def _analysis_options(parser):
-    parser.add_argument("--max-states", type=_count, default=DEFAULT_MAX_STATES)
-    parser.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
-
-
 def _load_params(path, command: str) -> PubSubParams:
     model = files.load_model_file(path)
     if not isinstance(model, PubSubParams):
@@ -62,7 +57,7 @@ def _load_params(path, command: str) -> PubSubParams:
 
 
 def cmd_analyze(args) -> int:
-    ctmc, dist, report = solve_model(files.load_model_file(args.model), args.max_states, args.tol)
+    ctmc, dist, report = solve_model(files.load_model_file(args.model), args.max_states)
     doc = files.report_to_document(report)
     doc["states"] = ctmc.n_states
     doc["residual"] = dist.residual
@@ -98,7 +93,7 @@ def cmd_sweep(args) -> int:
     ctmc = None
     for value, params in points:
         # a point that changes only rates re-rates the previous point's chain
-        ctmc, dist, report = solve_model(params, args.max_states, args.tol, _previous=ctmc)
+        ctmc, dist, report = solve_model(params, args.max_states, _previous=ctmc)
         accept = report.response_times["accept_publication_response_time"]
         notify = report.response_times["notification_response_time"]
         row = (
@@ -148,7 +143,7 @@ def cmd_monitor(args) -> int:
         trace = files.read_trace(fh)
     model = _load_params(args.params, "monitor")
     policy = files.policy_from_document(files.load_json(args.policy))
-    records = run_loop(trace, model, policy, max_states=args.max_states, tol=args.tol)
+    records = run_loop(trace, model, policy, max_states=args.max_states)
     for record in records:
         print(json.dumps(files.decision_record_to_document(record), sort_keys=True))
     return 0
@@ -169,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="steady-state metrics of a net or params file")
     p.add_argument("model", help="net document or pub/sub params JSON file")
-    _analysis_options(p)
+    p.add_argument("--max-states", type=_count, default=DEFAULT_MAX_STATES)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="sweep one influencing factor, CSV output")
@@ -177,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor", required=True)
     p.add_argument("--values", required=True,
                    help="comma-separated values, e.g. 1,2,4,8")
-    _analysis_options(p)
+    p.add_argument("--max-states", type=_count, default=DEFAULT_MAX_STATES)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="discrete-event estimates vs analytic values")
@@ -193,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace", help="workload trace, JSON Lines")
     p.add_argument("params", help="pub/sub params JSON file")
     p.add_argument("policy", help="monitor policy JSON file")
-    _analysis_options(p)
+    p.add_argument("--max-states", type=_count, default=DEFAULT_MAX_STATES)
     p.set_defaults(func=cmd_monitor)
 
     p = sub.add_parser("export-net", help="dump a params file as a net document")

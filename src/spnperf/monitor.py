@@ -24,7 +24,7 @@ from .pubsub import (
     set_factor,
 )
 from .reachability import DEFAULT_MAX_STATES, explore, rerate
-from .solver import DEFAULT_TOL, MetricsReport, chain_metrics, steady_state
+from .solver import MetricsReport, chain_metrics, steady_state
 
 GROW_NETWORK_BUFFERS = "grow_network_buffers"
 GROW_BROKER_MEMORY = "grow_broker_memory"
@@ -124,9 +124,7 @@ class DecisionRecord:
     outcome: str
 
 
-def solve_model(
-    model, max_states: int = DEFAULT_MAX_STATES, tol: float = DEFAULT_TOL, _previous=None
-):
+def solve_model(model, max_states: int = DEFAULT_MAX_STATES, _previous=None):
     """Explore and solve a model; return ``(ctmc, dist, report)``.
 
     ``model`` is a ``PubSubParams``, reported by ``headline_metrics``, or an
@@ -140,16 +138,14 @@ def solve_model(
     ctmc = None if _previous is None else rerate(_previous, net, max_states)
     if ctmc is None:
         ctmc = explore(net, max_states=max_states)
-    dist = steady_state(ctmc, tol=tol)
+    dist = steady_state(ctmc)
     report = headline_metrics(ctmc, dist) if is_params else chain_metrics(ctmc, dist)
     return ctmc, dist, report
 
 
-def evaluate(
-    params: PubSubParams, max_states: int = DEFAULT_MAX_STATES, tol: float = DEFAULT_TOL
-) -> MetricsReport:
+def evaluate(params: PubSubParams, max_states: int = DEFAULT_MAX_STATES) -> MetricsReport:
     """Build the net, solve its CTMC and return the headline metrics."""
-    return solve_model(params, max_states, tol)[2]
+    return solve_model(params, max_states)[2]
 
 
 def detect_degradation(report: MetricsReport, policy: MonitorPolicy) -> list[str]:
@@ -215,7 +211,6 @@ def run_loop(
     params: PubSubParams,
     policy: MonitorPolicy,
     max_states: int = DEFAULT_MAX_STATES,
-    tol: float = DEFAULT_TOL,
 ) -> list[DecisionRecord]:
     """Run the monitoring loop over a workload trace.
 
@@ -236,7 +231,7 @@ def run_loop(
         actions = []
         cand_level = qos_level
         try:
-            before = report = evaluate(candidate, max_states=max_states, tol=tol)
+            before = report = evaluate(candidate, max_states=max_states)
             while (
                 detect_degradation(report, policy)
                 and len(actions) < policy.max_actions_per_snapshot
@@ -246,7 +241,7 @@ def run_loop(
                     break
                 candidate, cand_level = apply_action(candidate, policy, action, cand_level)
                 actions.append(action)
-                report = evaluate(candidate, max_states=max_states, tol=tol)
+                report = evaluate(candidate, max_states=max_states)
         except SpnError:
             records.append(
                 DecisionRecord(snap.timestamp, before, None, tuple(actions), EVALUATION_FAILED)

@@ -11,8 +11,8 @@ Each edge keeps the enabling degree of its transition in its source
 marking, and its rate is the transition's base rate times that degree.
 Rates never decide which markings are reachable, so a net that differs
 from an explored one only in its transition rates has the same states and
-edges: ``rerate`` builds its chain from the explored one by recomputing the
-rate column, without a search.
+edges: ``rerate`` builds its chain from the explored one with the new net,
+without a search, and the chain derives its rates from that net.
 """
 
 from __future__ import annotations
@@ -59,26 +59,31 @@ class Ctmc:
     ``markings`` is the (n_states, n_places) state matrix; row 0 is the
     initial marking.  Edge ``k`` goes from state ``src[k]`` to ``dst[k]``
     at rate ``rate[k]`` by firing transition ``trans[k]``, whose enabling
-    degree in the source marking is ``degree[k]``; ``rate`` is
-    ``net.base_rates[trans] * degree``.  Parallel edges from distinct
-    transitions are kept distinct.  All arrays are read-only, so chains of
-    one structure may share them.
-    ``states``, ``edges`` and ``state_index`` are tuple/dict views built on
-    first use.
+    degree in the source marking is ``degree[k]``.  Parallel edges from
+    distinct transitions are kept distinct.  All arrays are read-only, so
+    chains of one structure may share them.
+    ``rate`` is derived on first use as ``net.base_rates[trans] * degree``,
+    the one expression for edge rates; ``states``, ``edges`` and
+    ``state_index`` are tuple/dict views built on first use.
     """
 
     net: SpnNet
     markings: np.ndarray
     src: np.ndarray
     dst: np.ndarray
-    rate: np.ndarray
     trans: np.ndarray
     degree: np.ndarray
     deadlock_states: frozenset[int]
 
     def __post_init__(self):
-        for name in ("markings", "src", "dst", "rate", "trans", "degree"):
+        for name in ("markings", "src", "dst", "trans", "degree"):
             getattr(self, name).setflags(write=False)
+
+    @cached_property
+    def rate(self) -> np.ndarray:
+        rate = self.net.base_rates[self.trans] * self.degree
+        rate.setflags(write=False)
+        return rate
 
     @property
     def n_states(self) -> int:
@@ -115,11 +120,6 @@ class Ctmc:
     def state_array(self) -> np.ndarray:
         """States as a read-only (n_states, n_places) integer array."""
         return self.markings
-
-
-def _edge_rates(net: SpnNet, trans: np.ndarray, degree: np.ndarray) -> np.ndarray:
-    # the one expression for edge rates, in explore and in rerate
-    return net.base_rates[trans] * degree
 
 
 def explore(net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctmc:
@@ -177,16 +177,13 @@ def explore(net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctmc:
         degrees.append(degree[rows, ts])
         done = hi
 
-    trans = np.concatenate(trans)
-    degree = np.concatenate(degrees)
     return Ctmc(
         net=net,
         markings=states[:n].copy(),
         src=np.concatenate(src),
         dst=np.concatenate(dst),
-        rate=_edge_rates(net, trans, degree),
-        trans=trans,
-        degree=degree,
+        trans=np.concatenate(trans),
+        degree=np.concatenate(degrees),
         deadlock_states=frozenset(deadlocks),
     )
 
@@ -213,9 +210,9 @@ def rerate(ctmc: Ctmc, net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctm
     Returns ``None`` unless ``net`` differs from ``ctmc.net`` only in its
     transition rates: the same place and transition counts, initial
     marking, ``pre``, ``post`` and ``inh`` arrays, priorities and
-    semantics.  Otherwise the result shares every array of ``ctmc`` but
-    ``rate``, which it computes as ``explore`` does, so it equals
-    ``explore(net, max_states)`` exactly.
+    semantics.  Otherwise the result shares every array of ``ctmc`` and
+    derives its own ``rate``, so it equals ``explore(net, max_states)``
+    exactly.
     Like ``explore``, raises ``InvalidNetError`` for a net failing
     validation and ``StateExplosionError`` for a chain of more than
     ``max_states`` states.
@@ -227,7 +224,7 @@ def rerate(ctmc: Ctmc, net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctm
         return None
     if ctmc.n_states > max(max_states, 1):
         raise StateExplosionError(max_states)
-    return dataclasses.replace(ctmc, net=net, rate=_edge_rates(net, ctmc.trans, ctmc.degree))
+    return dataclasses.replace(ctmc, net=net)
 
 
 def check_place_invariant(ctmc: Ctmc, weights, expected: int):

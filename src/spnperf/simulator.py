@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import SpnNet, enabled_rates, validate_net
+from .net import SpnNet, enabled_rates, is_count, validate_net
 from .reachability import InvalidNetError
 
 
@@ -97,6 +97,8 @@ def simulate_run(
     violations = validate_net(net)
     if violations:
         raise InvalidNetError(violations)
+    if not math.isfinite(horizon):  # the event loop would never reach it
+        raise ValueError(f"horizon must be finite, got {horizon!r}")
     if warmup is None:
         warmup = 0.1 * horizon
     if not (0 <= warmup < horizon):
@@ -274,8 +276,8 @@ def estimate_metrics(
     Half-widths use the Student-t 97.5% quantile with ``replications - 1``
     degrees of freedom.
     """
-    if replications < 2:
-        raise ValueError("at least 2 replications are required")
+    if not (is_count(replications) and replications >= 2):
+        raise ValueError(f"replications must be an integer >= 2, got {replications!r}")
 
     cache = {}
     runs = [

@@ -46,14 +46,13 @@ class ChainStructureError(SpnError):
 
 
 class ConvergenceError(SpnError):
-    """Iterative solve did not reach the residual tolerance."""
+    """A solve did not reach ``DEFAULT_TOL`` with a non-negative, finite result."""
 
-    def __init__(self, residual, iterations):
+    def __init__(self, residual, iterations, method="iterative"):
         self.residual = residual
         self.iterations = iterations
-        super().__init__(
-            f"no convergence after {iterations} sweeps (residual {residual:.3e})"
-        )
+        path = "the direct solve" if method == "direct" else f"{iterations} sweeps"
+        super().__init__(f"no convergence after {path} (residual {residual:.3e})")
 
 
 @dataclass(frozen=True)
@@ -203,15 +202,15 @@ def _solve_gauss_seidel(q, tol: float) -> tuple[np.ndarray, int]:
     raise ConvergenceError(residual, DEFAULT_MAX_ITER)
 
 
-def steady_state(
-    ctmc: Ctmc, method: str = "auto", tol: float = DEFAULT_TOL
-) -> StationaryDistribution:
+def steady_state(ctmc: Ctmc, method: str = "auto") -> StationaryDistribution:
     """Solve pi Q = 0, sum(pi) = 1 for an irreducible chain.
 
     ``auto``, the only selection the pipeline makes, uses direct
     elimination up to ``DIRECT_STATE_LIMIT`` states and Gauss-Seidel
     beyond; tests force ``direct`` or ``iterative`` to compare the two.
-    Gauss-Seidel gives up after ``DEFAULT_MAX_ITER`` sweeps.
+    Gauss-Seidel gives up after ``DEFAULT_MAX_ITER`` sweeps.  Either path's
+    result is refused unless it is non-negative and finite with residual
+    ``max|pi Q| <= DEFAULT_TOL``, the one tolerance.
     """
     if ctmc.n_states == 0:
         raise ValueError("empty chain")
@@ -226,17 +225,18 @@ def steady_state(
     if method == "auto":
         method = "direct" if ctmc.n_states <= DIRECT_STATE_LIMIT else "iterative"
     if method == "direct":
-        pi, iters = _solve_direct(q, tol)
+        pi, iters = _solve_direct(q, DEFAULT_TOL)
     else:
-        pi, iters = _solve_gauss_seidel(q, tol)
+        pi, iters = _solve_gauss_seidel(q, DEFAULT_TOL)
 
-    pi = np.where((pi < 0) & (pi > -1e-12), 0.0, pi)
+    # both paths only add, multiply and divide non-negative numbers, so a
+    # negative entry is a fault, refused before normalizing could flip it
     if (pi < 0).any():
-        raise ConvergenceError(_residual(pi, q), iters)
+        raise ConvergenceError(_residual(pi, q), iters, method)
     pi = pi / pi.sum()
     res = _residual(pi, q)
-    if not res <= tol:  # also refuses a NaN residual or probability
-        raise ConvergenceError(res, iters)
+    if not res <= DEFAULT_TOL:  # also refuses a NaN residual or probability
+        raise ConvergenceError(res, iters, method)
     return StationaryDistribution(pi, res, method, iters)
 
 

@@ -262,6 +262,21 @@ def test_tol_must_be_finite_and_positive(tmp_path, params_file, capsys, value):
         assert "--tol" in err
 
 
+def test_a_valid_tol_is_refused_as_an_unknown_option(tmp_path, params_file, capsys):
+    # the solver's DEFAULT_TOL is the one tolerance: no command takes --tol
+    for argv in (
+        ("analyze", params_file),
+        ("sweep", params_file, "--factor", "r_pub_qos", "--values", "1"),
+        monitor_argv(tmp_path, params_file),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", "1e-12"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "--tol" in captured.err
+
+
 @pytest.mark.parametrize("value", ["-5", "0"])
 def test_max_states_must_be_at_least_1(tmp_path, params_file, capsys, value):
     for argv in (

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +115,38 @@ def test_zero_variance_metric_has_zero_half_width():
 def test_replications_must_be_at_least_two():
     with pytest.raises(ValueError):
         estimate_metrics(self_loop_net(), horizon=10.0, replications=1)
+
+
+def test_replications_must_be_an_integer():
+    with pytest.raises(ValueError, match="replications"):
+        estimate_metrics(self_loop_net(), horizon=10.0, replications=2.5)
+
+
+def test_an_infinite_horizon_is_refused():
+    # with warmup 0 an infinite horizon passes 0 <= warmup < horizon, and the
+    # event loop would never end: run it in a child process that fails the
+    # test by timing out instead of hanging it
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    script = (
+        "import math\n"
+        "from nets import self_loop_net\n"
+        "from spnperf.simulator import estimate_metrics, simulate_run\n"
+        "for run in (simulate_run, estimate_metrics):\n"
+        "    try:\n"
+        "        run(self_loop_net(), horizon=math.inf, warmup=0.0)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["horizon must be finite, got inf"] * 2
 
 
 def test_default_metrics_cover_all_nodes():

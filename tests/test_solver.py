@@ -181,3 +181,18 @@ def test_gauss_seidel_gives_up_after_the_sweep_budget(monkeypatch):
     with pytest.raises(solver.ConvergenceError) as exc:
         steady_state(explore(mm1k_net(1.0, 2.0, 20)), method="iterative")
     assert exc.value.iterations == 1
+
+
+@pytest.mark.parametrize(
+    "method,target,message",
+    [
+        ("direct", "_solve_direct", "no convergence after the direct solve"),
+        ("iterative", "_solve_gauss_seidel", "no convergence after 7 sweeps"),
+    ],
+)
+def test_a_refused_solve_names_its_path(monkeypatch, method, target, message):
+    from spnperf import solver
+
+    monkeypatch.setattr(solver, target, lambda q, tol: (np.full(q.shape[0], np.nan), 7))
+    with pytest.raises(solver.ConvergenceError, match=message):
+        steady_state(explore(mm1k_net(1.0, 2.0, 3)), method=method)
