@@ -18,7 +18,7 @@ without a search, and the chain derives its rates from that net.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -62,6 +62,10 @@ class Ctmc:
     degree in the source marking is ``degree[k]``.  Parallel edges from
     distinct transitions are kept distinct.  All arrays are read-only, so
     chains of one structure may share them.
+    ``structure_memo`` holds what is derived from the states and edges
+    alone, never from the rates (the solver keeps its irreducibility
+    verdict, orderings and sweep plan there); ``rerate`` passes it on with
+    the arrays, so chains of one structure derive each of these once.
     ``rate`` is derived on first use as ``net.base_rates[trans] * degree``,
     the one expression for edge rates; ``states``, ``edges`` and
     ``state_index`` are tuple/dict views built on first use.
@@ -74,6 +78,7 @@ class Ctmc:
     trans: np.ndarray
     degree: np.ndarray
     deadlock_states: frozenset[int]
+    structure_memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for name in ("markings", "src", "dst", "trans", "degree"):
@@ -210,9 +215,9 @@ def rerate(ctmc: Ctmc, net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctm
     Returns ``None`` unless ``net`` differs from ``ctmc.net`` only in its
     transition rates: the same place and transition counts, initial
     marking, ``pre``, ``post`` and ``inh`` arrays, priorities and
-    semantics.  Otherwise the result shares every array of ``ctmc`` and
-    derives its own ``rate``, so it equals ``explore(net, max_states)``
-    exactly.
+    semantics.  Otherwise the result shares every array of ``ctmc``, and
+    its ``structure_memo``, and derives its own ``rate``, so it equals
+    ``explore(net, max_states)`` exactly.
     Like ``explore``, raises ``InvalidNetError`` for a net failing
     validation and ``StateExplosionError`` for a chain of more than
     ``max_states`` states.

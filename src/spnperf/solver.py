@@ -19,19 +19,19 @@ operation on them, are non-negative sums, products and quotients, so
 GTH's componentwise accuracy (O'Cinneide 1993) holds as it does one
 state at a time.
 
-Gauss-Seidel factors its lower triangle once and reuses the factor in
-every sweep.
+Gauss-Seidel runs each sweep's forward substitution level by level.  Q,
+its irreducibility check, the ordering and the level plan use numpy alone;
+what depends only on the chain's structure is derived once per structure
+and kept in ``Ctmc.structure_memo``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
-import scipy.sparse.linalg
 
 from .net import SpnError
 from .reachability import Ctmc
@@ -83,43 +83,165 @@ class MetricsReport:
     response_times: dict
 
 
-def generator_matrix(ctmc: Ctmc) -> scipy.sparse.csr_matrix:
-    """Sparse generator Q. Self-loop edges cancel and are dropped."""
-    n = ctmc.n_states
-    keep = ctmc.src != ctmc.dst
-    q = scipy.sparse.coo_matrix(
-        (ctmc.rate[keep], (ctmc.src[keep], ctmc.dst[keep])), shape=(n, n)
-    ).tocsr()
-    q = q - scipy.sparse.diags(np.asarray(q.sum(axis=1)).ravel())
-    return q.tocsr()
+class _Pattern:
+    """Where a chain's generator Q has entries: everything about Q that the
+    rates do not change, and what the solver derives from it.
+
+    ``row`` and ``col`` list Q's entries sorted by (row, col): each
+    distinct off-diagonal edge once (parallel edges summed, self-loops
+    dropped) and every diagonal entry.  ``edge_slot`` maps each kept edge of
+    the chain to its entry and ``diag_slot`` each state to its diagonal.
+    """
+
+    def __init__(self, ctmc: Ctmc):
+        n = self.n = ctmc.n_states
+        self.keep = ctmc.src != ctmc.dst
+        edges = ctmc.src[self.keep] * n + ctmc.dst[self.keep]
+        keys, slot = np.unique(
+            np.concatenate([edges, np.arange(n) * (n + 1)]), return_inverse=True
+        )
+        self.row, self.col = np.divmod(keys, n)
+        self.edge_slot, self.diag_slot = slot[: edges.size], slot[edges.size :]
+
+    @cached_property
+    def unreturning(self) -> np.ndarray:
+        return _cannot_return(self)
+
+    @cached_property
+    def rcm(self) -> np.ndarray:
+        return _reverse_cuthill_mckee(self)
+
+    @cached_property
+    def gs_plan(self) -> "_LevelPlan":
+        return _level_plan(self)
 
 
-def _check_structure(ctmc: Ctmc, q: scipy.sparse.csr_matrix):
+def _pattern(ctmc: Ctmc) -> _Pattern:
+    pattern = ctmc.structure_memo.get("generator")
+    if pattern is None:
+        pattern = ctmc.structure_memo["generator"] = _Pattern(ctmc)
+    return pattern
+
+
+@dataclass(frozen=True, eq=False)
+class Generator:
+    """Generator Q of a chain: ``val`` holds the entries at ``pattern.row``
+    and ``pattern.col``, the diagonal entries minus the out-rates ``out``."""
+
+    pattern: _Pattern
+    val: np.ndarray
+    out: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.pattern.n, self.pattern.n)
+
+
+def generator(ctmc: Ctmc) -> Generator:
+    """Q with summed parallel edges off the diagonal and rows summing to zero."""
+    p = _pattern(ctmc)
+    val = np.bincount(p.edge_slot, ctmc.rate[p.keep], minlength=p.row.size)
+    out = np.bincount(p.row, val, minlength=p.n)
+    val[p.diag_slot] = -out
+    return Generator(p, val, out)
+
+
+def _row_pointers(row: np.ndarray, n: int) -> np.ndarray:
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
+    return ptr
+
+
+def _positions(order: np.ndarray) -> np.ndarray:
+    """Where each state sits in ``order``."""
+    at = np.empty(order.size, dtype=np.int64)
+    at[order] = np.arange(order.size)
+    return at
+
+
+def _gather(ptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Entry positions of the CSR rows ``nodes``, row after row."""
+    start = ptr[nodes]
+    length = ptr[nodes + 1] - start
+    return np.repeat(start - np.cumsum(length) + length, length) + np.arange(length.sum())
+
+
+def _cannot_return(p: _Pattern) -> np.ndarray:
+    # explore reaches every state from state 0, so the chain is irreducible
+    # exactly when every state reaches state 0: one level-synchronous search
+    # back along the edges, dst -> src
+    ptr, pred = _row_pointers(p.col, p.n), p.row[np.argsort(p.col)]
+    seen = np.zeros(p.n, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        reached = np.zeros(p.n, dtype=bool)
+        reached[pred[_gather(ptr, frontier)]] = True
+        frontier = np.flatnonzero(reached & ~seen)
+        seen[frontier] = True
+    return np.flatnonzero(~seen)
+
+
+def _check_structure(ctmc: Ctmc, q: Generator):
     if ctmc.deadlock_states:
         names = sorted(ctmc.deadlock_states)
         raise ChainStructureError(
             f"chain has deadlock states {names[:10]}"
             + (" ..." if len(names) > 10 else "")
         )
-    if ctmc.n_states == 1:
-        return
-    adj = scipy.sparse.csr_matrix((np.abs(q.data) > 0, q.indices, q.indptr), shape=q.shape)
-    n_comp, labels = scipy.sparse.csgraph.connected_components(
-        adj, directed=True, connection="strong"
-    )
-    if n_comp > 1:
-        sample = [int(np.flatnonzero(labels == c)[0]) for c in range(min(n_comp, 10))]
+    stuck = q.pattern.unreturning
+    if stuck.size:
         raise ChainStructureError(
-            f"chain is reducible: {n_comp} strongly connected components "
-            f"(sample states per component: {sample})"
+            f"chain is reducible: states {stuck[:10].tolist()}"
+            + (" ..." if stuck.size > 10 else "")
+            + " cannot return to state 0"
         )
 
 
-def _residual(pi: np.ndarray, q) -> float:
-    return float(np.abs(pi @ q).max())
+def _residual(pi: np.ndarray, q: Generator) -> float:
+    # bincount adds each column's entries in row order, as a sparse pi @ Q does
+    p = q.pattern
+    return float(np.abs(np.bincount(p.col, pi[p.row] * q.val, minlength=p.n)).max())
 
 
-def _solve_direct(q, tol: float, block: int = 32) -> tuple[np.ndarray, int]:
+def _reverse_cuthill_mckee(p: _Pattern) -> np.ndarray:
+    # Cuthill and McKee (1969) on the pattern of Q + Q^T, one level at a
+    # time: each new state joins the next level after its earliest-ordered
+    # neighbour, then by degree, then by index, which is the order a
+    # state-by-state search gives.  Each component starts at a state of
+    # minimum degree, as scipy's reverse_cuthill_mckee does.
+    n = p.n
+    off = p.row != p.col
+    r, c = p.row[off], p.col[off]
+    # sorted distinct keys: np.unique would build a hash table, which numpy 2
+    # makes many times slower than this on large arrays
+    keys = np.sort(np.concatenate([r * n + c, c * n + r]))
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    state, neighbour = np.divmod(keys, n)
+    degree = np.bincount(state, minlength=n)
+    ptr = _row_pointers(state, n)
+    order = np.empty(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    hi = 0
+    while hi < n:
+        rest = np.flatnonzero(~seen)
+        seed = rest[np.argmin(degree[rest])]
+        order[hi] = seed
+        seen[seed] = True
+        lo, hi = hi, hi + 1
+        while lo < hi:
+            nodes = neighbour[_gather(ptr, order[lo:hi])]
+            parent = np.repeat(np.arange(lo, hi), degree[order[lo:hi]])
+            new = ~seen[nodes]
+            nodes, first = np.unique(nodes[new], return_index=True)
+            nodes = nodes[np.lexsort((nodes, degree[nodes], parent[new][first]))]
+            order[hi : hi + nodes.size] = nodes
+            seen[nodes] = True
+            lo, hi = hi, hi + nodes.size
+    return order[::-1]
+
+
+def _solve_direct(q: Generator, tol: float, block: int = 32) -> tuple[np.ndarray, int]:
     # GTH state elimination.  Every operation adds, multiplies or divides
     # non-negative rates -- no cancellation -- so the probabilities keep
     # componentwise relative accuracy in any elimination order (O'Cinneide
@@ -138,11 +260,13 @@ def _solve_direct(q, tol: float, block: int = 32) -> tuple[np.ndarray, int]:
     # columns into B are C0 @ V, B's rows into W are T @ R0, and W gains
     # C @ R.  Each entry is built from sums, products and quotients of
     # non-negative numbers: nothing is subtracted.
-    perm = scipy.sparse.csgraph.reverse_cuthill_mckee(abs(q) + abs(q.T), symmetric_mode=True)
-    qp = q[perm][:, perm].tocoo()
-    b = int(np.abs(qp.row - qp.col).max())
-    a = qp.toarray()
-    n = a.shape[0]
+    p = q.pattern
+    n = p.n
+    at = _positions(p.rcm)
+    i, j = at[p.row], at[p.col]
+    b = int(np.abs(i - j).max())
+    a = np.zeros((n, n))
+    a[i, j] = q.val
     np.fill_diagonal(a, 0.0)
     hi = n
     while hi > 1:
@@ -172,31 +296,92 @@ def _solve_direct(q, tol: float, block: int = 32) -> tuple[np.ndarray, int]:
         x[k] = x[w:k] @ a[w:k, k]
         if x[k] > 2.0**500:
             x[: k + 1] *= 2.0**-500
-    pi = np.empty(n)
-    pi[perm] = x / x.sum()
-    return pi, 0
+    return (x / x.sum())[at], 0
 
 
-def _solve_gauss_seidel(q, tol: float) -> tuple[np.ndarray, int]:
-    # Each sweep solves (D + L) x' = -U x with Q^T = D + L + U.  In natural
-    # column order with the diagonal as pivot, SuperLU factors the triangle
-    # D + L without permuting or filling it, once; a sweep is then two
-    # substitutions.  The residual reads Q^T x, which is pi Q without a
-    # transpose per sweep.
-    n = q.shape[0]
-    a = scipy.sparse.csr_matrix(q.T)
-    lower = scipy.sparse.linalg.splu(
-        scipy.sparse.tril(a, format="csc"), permc_spec="NATURAL", diag_pivot_thresh=0.0
+@dataclass(frozen=True, eq=False)
+class _LevelPlan:
+    """Gauss-Seidel's forward substitution in levels (Anderson and Saad 1989).
+
+    A state's new value needs the new values of the lower-numbered states
+    with an edge into it.  A level holds states whose needs all lie in
+    earlier levels, so each level is one vector step.  The levels are laid
+    out one after another in ``order``: level ``k`` is
+    ``order[bounds[k]:bounds[k + 1]]``.  The pattern entries that feed it
+    are ``lower[ebounds[k]:ebounds[k + 1]]``, each with its target's place
+    within the level in ``local``.  ``upper`` lists the entries from
+    higher-numbered states, which read the previous sweep.
+    """
+
+    order: np.ndarray
+    bounds: tuple
+    lower: np.ndarray
+    ebounds: tuple
+    local: np.ndarray
+    upper: np.ndarray
+
+
+def _level_plan(p: _Pattern) -> _LevelPlan:
+    lower = np.flatnonzero(p.row < p.col)
+    src, dst = p.row[lower], p.col[lower]
+    # Kahn's topological sort, one level at a time; lower is sorted by src
+    ptr = _row_pointers(src, p.n)
+    needs = np.bincount(dst, minlength=p.n)
+    levels = [np.flatnonzero(needs == 0)]
+    while True:
+        nodes = dst[_gather(ptr, levels[-1])]
+        needs -= np.bincount(nodes, minlength=p.n)
+        ready = np.zeros(p.n, dtype=bool)
+        ready[nodes[needs[nodes] == 0]] = True
+        if not ready.any():
+            break
+        levels.append(np.flatnonzero(ready))
+    order = np.concatenate(levels)
+    bounds = np.cumsum([0] + [level.size for level in levels])
+    # each target's entries stay in source order, the order of a row sweep
+    target = _positions(order)[dst]
+    by_target = np.argsort(target, kind="stable")
+    target = target[by_target]
+    return _LevelPlan(
+        order=order,
+        bounds=tuple(bounds.tolist()),
+        lower=lower[by_target],
+        ebounds=tuple(np.searchsorted(target, bounds).tolist()),
+        local=target - bounds[np.searchsorted(bounds, target, side="right") - 1],
+        upper=np.flatnonzero(p.row > p.col),
     )
-    upper = scipy.sparse.triu(a, k=1, format="csr")
-    x = np.full(n, 1.0 / n)
+
+
+def _solve_gauss_seidel(q: Generator, tol: float) -> tuple[np.ndarray, int]:
+    # Each sweep solves (D + L) x' = -U x with Q^T = D + L + U, in the
+    # chain's own state order: x'_i is the inflow into i, from the new x'
+    # of lower-numbered states and the old x of higher-numbered ones, over
+    # the out-rate of i.  Every term is non-negative.  The forward
+    # substitution runs level by level (``_LevelPlan``) on y, which holds x
+    # in level order so that each level is a slice.
+    p, plan, n = q.pattern, q.pattern.gs_plan, q.pattern.n
+    at = _positions(plan.order)
+    row, out = at[p.row], q.out[plan.order]
+    lsrc, lval = row[plan.lower], q.val[plan.lower]
+    usrc, udst, uval = row[plan.upper], at[p.col[plan.upper]], q.val[plan.upper]
+    levels = [
+        (lo, hi, plan.local[elo:ehi], lsrc[elo:ehi], lval[elo:ehi])
+        for lo, hi, elo, ehi in zip(plan.bounds, plan.bounds[1:], plan.ebounds, plan.ebounds[1:])
+    ]
+    y = np.full(n, 1.0 / n)
     for sweep in range(1, DEFAULT_MAX_ITER + 1):
-        x = lower.solve(-(upper @ x))
-        total = x.sum()
+        inflow = np.bincount(udst, uval * y[usrc], minlength=n)
+        for lo, hi, local, src, val in levels:
+            into = inflow[lo:hi]
+            if src.size:  # the first level needs no new values
+                into += np.bincount(local, val * y[src], minlength=hi - lo)
+            np.divide(into, out[lo:hi], out=y[lo:hi])
+        total = y.sum()
         if total == 0.0:
             raise ConvergenceError(np.inf, sweep)
-        x = x / total
-        residual = float(np.abs(a @ x).max())
+        y /= total
+        x = y[at]
+        residual = _residual(x, q)
         if residual <= tol:
             return x, sweep
     raise ConvergenceError(residual, DEFAULT_MAX_ITER)
@@ -216,7 +401,7 @@ def steady_state(ctmc: Ctmc, method: str = "auto") -> StationaryDistribution:
         raise ValueError("empty chain")
     if method not in ("auto", "direct", "iterative"):
         raise ValueError(f"unknown method {method!r}")
-    q = generator_matrix(ctmc)
+    q = generator(ctmc)
     _check_structure(ctmc, q)
 
     if ctmc.n_states == 1:

@@ -2,9 +2,11 @@
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import scipy.special
@@ -39,6 +41,51 @@ def test_cli_import_leaves_scipy_special_unloaded():
         check=True, timeout=120,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_no_cli_command_loads_scipy(tmp_path):
+    # the runtime needs numpy alone: each of the five commands runs in one
+    # child process, then not even scipy's top-level package may be loaded.
+    # analyze on 2,100 states takes the Gauss-Seidel path, the rest direct.
+    from spnperf import files
+    from spnperf.pubsub import PubSubParams
+
+    def write(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    params = write("params.json", json.dumps(files.params_to_document(PubSubParams())))
+    larger = write("larger.json", json.dumps(files.params_to_document(
+        PubSubParams(n_events=4, net_recv_buffer=2, net_send_buffer=2))))
+    trace = write("trace.jsonl", '{"t": 1.0, "publishers": 2, "subscribers": 2, "events": 3}\n')
+    policy = write("policy.json", json.dumps(
+        {"max_accept_publication_response_time": 2.8, "max_notification_response_time": 3.7}))
+    commands = [
+        ["export-net", params],
+        ["analyze", params],
+        ["analyze", larger],
+        ["sweep", params, "--factor", "r_pub_qos", "--values", "0.5,2"],
+        ["simulate", params, "--horizon", "50", "--replications", "2"],
+        ["monitor", trace, params, policy],
+    ]
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from spnperf.cli import main
+        codes = []
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main(argv))
+        print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)], env=env, capture_output=True,
+        text=True, check=True, timeout=300,
+    )
+    assert json.loads(out.stdout) == [[0] * len(commands), []]
 
 
 def test_stdtrit_equals_t_ppf():

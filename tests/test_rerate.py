@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spnperf import files, monitor
+from spnperf import files, monitor, solver
 from spnperf.cli import main
 from spnperf.net import SINGLE_SERVER, SpnNet, Transition
 from spnperf.pubsub import _RATES, PubSubParams, build_pubsub_net
@@ -203,3 +203,32 @@ def test_sweep_rows_equal_analyze_of_each_point(tmp_path, capsys):
         assert float(row[2]) == times["notification_response_time"]
         assert int(row[3]) == doc["states"]
         assert float(row[4]) == doc["residual"]
+
+
+@pytest.mark.parametrize(
+    "overrides, values, derived",
+    [
+        ({}, "0.3,0.6,0.9,1.5,2.5,4", ["_cannot_return", "_reverse_cuthill_mckee"]),
+        # 2,100 states: above DIRECT_STATE_LIMIT, so Gauss-Seidel's level plan
+        ({"n_events": 4, "net_recv_buffer": 2, "net_send_buffer": 2}, "0.5,2",
+         ["_cannot_return", "_level_plan"]),
+    ],
+    ids=["direct", "iterative"],
+)
+def test_a_rate_sweep_derives_the_solver_structure_once(
+    overrides, values, derived, tmp_path, capsys, monkeypatch
+):
+    # the points share one structure, so its irreducibility verdict and its
+    # ordering or level plan are derived for the first point and reused
+    calls = []
+    for name in ("_cannot_return", "_reverse_cuthill_mckee", "_level_plan"):
+        def counted(pattern, _name=name, _fn=getattr(solver, name)):
+            calls.append(_name)
+            return _fn(pattern)
+
+        monkeypatch.setattr(solver, name, counted)
+    model = tmp_path / "params.json"
+    model.write_text(json.dumps(files.params_to_document(PubSubParams(**overrides))))
+    assert main(["sweep", str(model), "--factor", "r_pub_qos", "--values", values]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 1 + len(values.split(","))
+    assert sorted(calls) == derived

@@ -146,6 +146,23 @@ def test_reducible_chain_is_a_structure_error():
         steady_state(explore(net))
 
 
+def test_a_reducible_chain_names_the_states_that_cannot_return():
+    # the chain of test_reducible_chain_is_a_structure_error: state 1 (b)
+    # keeps its token forever, so it never returns to state 0
+    net = simple_net(
+        [("a", 1), ("b", 0)],
+        [("go", 1.0), ("stay", 1.0)],
+        [
+            ("a", "go", "pre", 1),
+            ("b", "go", "post", 1),
+            ("b", "stay", "pre", 1),
+            ("b", "stay", "post", 1),
+        ],
+    )
+    with pytest.raises(ChainStructureError, match=r"states \[1\] cannot return to state 0"):
+        steady_state(explore(net))
+
+
 def test_direct_and_iterative_agree():
     for net in (mm1k_net(1.0, 2.0, 10), two_state_net(2.0, 3.0), producer_consumer_net()):
         ctmc = explore(net)

@@ -6,9 +6,13 @@ accuracy in every elimination order, so the banded solve in reverse
 Cuthill-McKee order must agree with it entry by entry, tail states included,
 not just in norm.
 
-Gauss-Seidel, which factors its triangle once, is checked against a sweep
-loop that solves the triangle afresh each sweep: same sweep count, same
-probabilities to 1e-12 componentwise.
+Gauss-Seidel, which substitutes level by level, is checked against a sweep
+loop that solves the triangle with scipy afresh each sweep: same sweep count,
+same probabilities to 1e-12 componentwise.
+
+The solver's reverse Cuthill-McKee order is checked against scipy's: a
+permutation, a band no wider, and the same order from the same start state.
+The oracles build Q with scipy themselves (``generator_matrix``).
 """
 
 import dataclasses
@@ -24,12 +28,23 @@ from hypothesis import strategies as st
 from spnperf import solver
 from spnperf.pubsub import PubSubParams, build_pubsub_net
 from spnperf.reachability import explore
-from spnperf.solver import ConvergenceError, generator_matrix, steady_state
+from spnperf.solver import ConvergenceError, steady_state
 from nets import mm1k_log_pi, mm1k_net, mm1k_pi, simple_net
 from test_explore_oracle import PUBSUB_CONFIGS
 
 BLOCK = 32  # the default block of solver._solve_direct
 RTOL = 1e-12
+
+
+def generator_matrix(ctmc):
+    """Sparse generator Q, the oracles' own. Self-loop edges cancel and are dropped."""
+    n = ctmc.n_states
+    keep = ctmc.src != ctmc.dst
+    q = scipy.sparse.coo_matrix(
+        (ctmc.rate[keep], (ctmc.src[keep], ctmc.dst[keep])), shape=(n, n)
+    ).tocsr()
+    q = q - scipy.sparse.diags(np.asarray(q.sum(axis=1)).ravel())
+    return q.tocsr()
 
 
 def dense_gth(q, block=BLOCK):
@@ -181,9 +196,43 @@ def test_random_irreducible_chains_match_dense(net, block):
     q = generator_matrix(ctmc)
     expected = dense_gth(q)
     # the window clipping must hold for blocks narrower and wider than the band
-    pi, _iterations = solver._solve_direct(q, solver.DEFAULT_TOL, block=block)
+    pi, _iterations = solver._solve_direct(solver.generator(ctmc), solver.DEFAULT_TOL, block=block)
     assert_componentwise(pi, expected)
     assert_componentwise(steady_state(ctmc, method="direct").probabilities, expected)
+
+
+# -- the ordering: numpy's Cuthill-McKee against scipy's ----------------------
+
+def numpy_rcm(ctmc):
+    """The solver's reverse Cuthill-McKee order and Q's half-bandwidth in it."""
+    pattern = solver.generator(ctmc).pattern
+    perm = solver._reverse_cuthill_mckee(pattern)
+    at = np.empty(ctmc.n_states, dtype=np.int64)
+    at[perm] = np.arange(ctmc.n_states)
+    return perm, int(np.abs(at[pattern.row] - at[pattern.col]).max())
+
+
+@pytest.mark.parametrize("overrides,n_states", PUBSUB_CONFIGS)
+def test_cuthill_mckee_band_is_no_wider_than_scipys(overrides, n_states):
+    ctmc = explore(build_pubsub_net(PubSubParams(**overrides)))
+    perm, band = numpy_rcm(ctmc)
+    assert np.array_equal(np.sort(perm), np.arange(n_states))
+    assert band <= rcm_bandwidth(generator_matrix(ctmc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(irreducible_chains())
+def test_cuthill_mckee_equals_scipys_from_the_same_start(net):
+    # both start at a state of minimum degree; among several, scipy's choice
+    # follows its sort, so the orders are compared when the starts agree
+    ctmc = explore(net)
+    q = generator_matrix(ctmc)
+    expected = scipy.sparse.csgraph.reverse_cuthill_mckee(abs(q) + abs(q.T), symmetric_mode=True)
+    perm, band = numpy_rcm(ctmc)
+    assert np.array_equal(np.sort(perm), np.arange(ctmc.n_states))
+    if perm[-1] == expected[-1]:
+        assert np.array_equal(perm, expected)
+        assert band == rcm_bandwidth(q)
 
 
 # -- non-finite results are refused -------------------------------------------
@@ -264,7 +313,7 @@ def test_gauss_seidel_matches_the_per_sweep_triangular_solve(overrides, n_states
     assert ctmc.n_states == n_states > solver.DIRECT_STATE_LIMIT
     q = generator_matrix(ctmc)
     expected, sweeps = reference_gauss_seidel(q, solver.DEFAULT_TOL)
-    pi, iterations = solver._solve_gauss_seidel(q, solver.DEFAULT_TOL)
+    pi, iterations = solver._solve_gauss_seidel(solver.generator(ctmc), solver.DEFAULT_TOL)
     assert iterations == sweeps
     assert_componentwise(pi, expected)
     dist = steady_state(ctmc)
