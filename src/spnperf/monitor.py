@@ -190,8 +190,9 @@ def next_action(
 def apply_action(
     params: PubSubParams, policy: MonitorPolicy, action: str, qos_level: int
 ) -> tuple[PubSubParams, int]:
-    """Apply one action: integer factors multiply by ``step`` (clamped to the
-    cap); lowering the QoS level raises the QoS processing rate one step."""
+    """Apply one action: integer factors below their cap multiply by ``step``
+    (clamped to the cap), and a factor at or above it stays; lowering the QoS
+    level raises the QoS processing rate one step."""
     if action == LOWER_QOS_LEVEL:
         if qos_level <= 0:
             raise ValueError("QoS level is already at its minimum")
@@ -201,8 +202,9 @@ def apply_action(
     if action not in _GROWS:
         raise ValueError(f"unknown action {action!r}")
     for factor in _GROWS[action]:
-        grown = min(getattr(params, factor) * policy.step, policy.caps[factor])
-        params = set_factor(params, factor, grown)
+        value, cap = getattr(params, factor), policy.caps[factor]
+        if value < cap:
+            params = set_factor(params, factor, min(value * policy.step, cap))
     return params, qos_level
 
 

@@ -19,10 +19,12 @@ operation on them, are non-negative sums, products and quotients, so
 GTH's componentwise accuracy (O'Cinneide 1993) holds as it does one
 state at a time.
 
-Gauss-Seidel runs each sweep's forward substitution level by level.  Q,
-its irreducibility check, the ordering and the level plan use numpy alone;
-what depends only on the chain's structure is derived once per structure
-and kept in ``Ctmc.structure_memo``.
+Gauss-Seidel runs each sweep's forward substitution level by level and
+reads the sweep's residual off the upper inflow the next sweep needs.
+What depends only on the chain's structure -- Q's pattern, the
+irreducibility verdict, the RCM order with Q's band layout, and the level
+plan in level order -- is derived once, with numpy alone, and kept in
+``Ctmc.structure_memo``, so a solve does rate work only.
 """
 
 from __future__ import annotations
@@ -112,7 +114,11 @@ class _Pattern:
         return _reverse_cuthill_mckee(self)
 
     @cached_property
-    def gs_plan(self) -> "_LevelPlan":
+    def band(self) -> tuple:
+        return _band(self)
+
+    @cached_property
+    def gs_plan(self) -> tuple:
         return _level_plan(self)
 
 
@@ -150,13 +156,6 @@ def _row_pointers(row: np.ndarray, n: int) -> np.ndarray:
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
     return ptr
-
-
-def _positions(order: np.ndarray) -> np.ndarray:
-    """Where each state sits in ``order``."""
-    at = np.empty(order.size, dtype=np.int64)
-    at[order] = np.arange(order.size)
-    return at
 
 
 def _gather(ptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -241,6 +240,14 @@ def _reverse_cuthill_mckee(p: _Pattern) -> np.ndarray:
     return order[::-1]
 
 
+def _band(p: _Pattern) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Q's off-diagonal entries, their places in RCM order, and b there."""
+    at = np.argsort(p.rcm)  # where each state sits in the order
+    off = np.flatnonzero(p.row != p.col)
+    i, j = at[p.row[off]], at[p.col[off]]
+    return off, i, j, int(np.abs(i - j).max(initial=0))
+
+
 def _solve_direct(q: Generator, tol: float, block: int = 32) -> tuple[np.ndarray, int]:
     # GTH state elimination.  Every operation adds, multiplies or divides
     # non-negative rates -- no cancellation -- so the probabilities keep
@@ -262,12 +269,9 @@ def _solve_direct(q: Generator, tol: float, block: int = 32) -> tuple[np.ndarray
     # non-negative numbers: nothing is subtracted.
     p = q.pattern
     n = p.n
-    at = _positions(p.rcm)
-    i, j = at[p.row], at[p.col]
-    b = int(np.abs(i - j).max())
+    off, i, j, b = p.band
     a = np.zeros((n, n))
-    a[i, j] = q.val
-    np.fill_diagonal(a, 0.0)
+    a[i, j] = q.val[off]
     hi = n
     while hi > 1:
         lo = max(hi - block, 1)
@@ -296,32 +300,23 @@ def _solve_direct(q: Generator, tol: float, block: int = 32) -> tuple[np.ndarray
         x[k] = x[w:k] @ a[w:k, k]
         if x[k] > 2.0**500:
             x[: k + 1] *= 2.0**-500
-    return (x / x.sum())[at], 0
+    pi = np.empty(n)
+    pi[p.rcm] = x / x.sum()
+    return pi, 0
 
 
-@dataclass(frozen=True, eq=False)
-class _LevelPlan:
+def _level_plan(p: _Pattern) -> tuple:
     """Gauss-Seidel's forward substitution in levels (Anderson and Saad 1989).
 
     A state's new value needs the new values of the lower-numbered states
     with an edge into it.  A level holds states whose needs all lie in
-    earlier levels, so each level is one vector step.  The levels are laid
-    out one after another in ``order``: level ``k`` is
-    ``order[bounds[k]:bounds[k + 1]]``.  The pattern entries that feed it
-    are ``lower[ebounds[k]:ebounds[k + 1]]``, each with its target's place
-    within the level in ``local``.  ``upper`` lists the entries from
-    higher-numbered states, which read the previous sweep.
+    earlier levels, so each level is one vector step.  Returns ``order``,
+    the levels one after another; per level ``lo``, ``hi`` (it is
+    ``order[lo:hi]``), the entries that feed it, their sources' positions in
+    ``order`` and their targets' places in the level; and the entries from
+    higher-numbered states, which read the previous sweep, with their
+    sources' and targets' positions in ``order``.
     """
-
-    order: np.ndarray
-    bounds: tuple
-    lower: np.ndarray
-    ebounds: tuple
-    local: np.ndarray
-    upper: np.ndarray
-
-
-def _level_plan(p: _Pattern) -> _LevelPlan:
     lower = np.flatnonzero(p.row < p.col)
     src, dst = p.row[lower], p.col[lower]
     # Kahn's topological sort, one level at a time; lower is sorted by src
@@ -338,18 +333,17 @@ def _level_plan(p: _Pattern) -> _LevelPlan:
         levels.append(np.flatnonzero(ready))
     order = np.concatenate(levels)
     bounds = np.cumsum([0] + [level.size for level in levels])
+    at = np.argsort(order)
     # each target's entries stay in source order, the order of a row sweep
-    target = _positions(order)[dst]
+    target = at[dst]
     by_target = np.argsort(target, kind="stable")
-    target = target[by_target]
-    return _LevelPlan(
-        order=order,
-        bounds=tuple(bounds.tolist()),
-        lower=lower[by_target],
-        ebounds=tuple(np.searchsorted(target, bounds).tolist()),
-        local=target - bounds[np.searchsorted(bounds, target, side="right") - 1],
-        upper=np.flatnonzero(p.row > p.col),
-    )
+    lower, source, target = lower[by_target], at[src[by_target]], target[by_target]
+    ebounds = np.searchsorted(target, bounds)
+    local = target - np.repeat(bounds[:-1], np.diff(ebounds))
+    spans = zip(bounds.tolist(), bounds[1:].tolist(), ebounds, ebounds[1:])
+    levels = [(lo, hi, lower[e:f], source[e:f], local[e:f]) for lo, hi, e, f in spans]
+    upper = np.flatnonzero(p.row > p.col)
+    return order, levels, (upper, at[p.row[upper]], at[p.col[upper]])
 
 
 def _solve_gauss_seidel(q: Generator, tol: float) -> tuple[np.ndarray, int]:
@@ -357,33 +351,34 @@ def _solve_gauss_seidel(q: Generator, tol: float) -> tuple[np.ndarray, int]:
     # chain's own state order: x'_i is the inflow into i, from the new x'
     # of lower-numbered states and the old x of higher-numbered ones, over
     # the out-rate of i.  Every term is non-negative.  The forward
-    # substitution runs level by level (``_LevelPlan``) on y, which holds x
+    # substitution runs level by level (``_level_plan``) on y, which holds x
     # in level order so that each level is a slice.
-    p, plan, n = q.pattern, q.pattern.gs_plan, q.pattern.n
-    at = _positions(plan.order)
-    row, out = at[p.row], q.out[plan.order]
-    lsrc, lval = row[plan.lower], q.val[plan.lower]
-    usrc, udst, uval = row[plan.upper], at[p.col[plan.upper]], q.val[plan.upper]
-    levels = [
-        (lo, hi, plan.local[elo:ehi], lsrc[elo:ehi], lval[elo:ehi])
-        for lo, hi, elo, ehi in zip(plan.bounds, plan.bounds[1:], plan.ebounds, plan.ebounds[1:])
-    ]
+    #
+    # By the sweep's own equations the lower terms of x' Q cancel:
+    # (x' Q)_i = sum over upper entries q_ji (x'_j - x_j).  So with u(y) the
+    # upper inflow and y' = x' / total, the residual max|y' Q| is
+    # max|u(y') - u(y) / total|, and u(y') is what the next sweep starts from.
+    order, levels, (upper, usrc, udst) = q.pattern.gs_plan
+    n, out, uval = order.size, q.out[order], q.val[upper]
+    levels = [(lo, hi, q.val[lower], src, local) for lo, hi, lower, src, local in levels]
     y = np.full(n, 1.0 / n)
+    inflow = np.bincount(udst, uval * y[usrc], minlength=n)
     for sweep in range(1, DEFAULT_MAX_ITER + 1):
-        inflow = np.bincount(udst, uval * y[usrc], minlength=n)
-        for lo, hi, local, src, val in levels:
+        for lo, hi, val, src, local in levels:
             into = inflow[lo:hi]
             if src.size:  # the first level needs no new values
-                into += np.bincount(local, val * y[src], minlength=hi - lo)
+                into = into + np.bincount(local, val * y[src], minlength=hi - lo)
             np.divide(into, out[lo:hi], out=y[lo:hi])
         total = y.sum()
         if total == 0.0:
             raise ConvergenceError(np.inf, sweep)
         y /= total
-        x = y[at]
-        residual = _residual(x, q)
+        previous, inflow = inflow, np.bincount(udst, uval * y[usrc], minlength=n)
+        residual = float(np.abs(inflow - previous / total).max())
         if residual <= tol:
-            return x, sweep
+            pi = np.empty(n)
+            pi[order] = y
+            return pi, sweep
     raise ConvergenceError(residual, DEFAULT_MAX_ITER)
 
 

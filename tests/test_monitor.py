@@ -134,6 +134,13 @@ def test_apply_action_clamps_to_cap():
     assert grown.broker_memory == 5
 
 
+def test_apply_action_never_shrinks_a_factor_above_its_cap():
+    # the receive buffer starts above its cap and stays; the send buffer grows
+    policy = MonitorPolicy(1.0, 1.0, step=2, caps={"net_recv_buffer": 4, "net_send_buffer": 4})
+    grown, _ = apply_action(PubSubParams(net_recv_buffer=8), policy, GROW_NETWORK_BUFFERS, 1)
+    assert (grown.net_recv_buffer, grown.net_send_buffer) == (8, 2)
+
+
 def test_run_loop_remediates_degraded_buffers():
     trace = [WorkloadSnapshot(1.0, 2, 2, 3)]
     records = run_loop(trace, PubSubParams(), DEGRADED_POLICY)

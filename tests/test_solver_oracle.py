@@ -306,9 +306,13 @@ def reference_gauss_seidel(q, tol):
     raise AssertionError("the reference did not converge")
 
 
-@pytest.mark.parametrize("overrides,n_states", PUBSUB_CONFIGS[2:])
+@pytest.mark.parametrize(
+    "overrides,n_states",
+    PUBSUB_CONFIGS[2:]
+    + [({"broker_memory": 8, "n_events": 6, "net_recv_buffer": 4, "net_send_buffer": 4}, 10200)],
+)
 def test_gauss_seidel_matches_the_per_sweep_triangular_solve(overrides, n_states):
-    # the three monitor-trace chains above DIRECT_STATE_LIMIT
+    # the three monitor-trace chains above DIRECT_STATE_LIMIT, and a larger one
     ctmc = explore(build_pubsub_net(PubSubParams(**overrides)))
     assert ctmc.n_states == n_states > solver.DIRECT_STATE_LIMIT
     q = generator_matrix(ctmc)
