@@ -85,8 +85,9 @@ class MonitorPolicy:
             raise ValueError(f"action_order repeats an action: {list(order)}")
         object.__setattr__(self, "action_order", tuple(order))
         # counts are whole numbers, and bool is an int subclass that no count
-        # should be: a cap of 2.5 would reach set_factor as a buffer size
-        for name, least in (("step", 1), ("max_actions_per_snapshot", 0)):
+        # should be: a cap of 2.5 would reach set_factor as a buffer size; a
+        # step of 1 would spend every growth action on an unchanged model
+        for name, least in (("step", 2), ("max_actions_per_snapshot", 0)):
             value = getattr(self, name)
             if not (is_count(value) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")

@@ -27,29 +27,6 @@ from .solver import (
 # these names in this module, so they must stay importable from it.
 from .solver import mean_token_count, transition_throughput  # noqa: F401
 
-_POPULATIONS = ("n_publishers", "n_subscribers", "n_topics", "n_events")
-_RESOURCE_FACTORS = (
-    "broker_capacity",
-    "broker_memory",
-    "net_recv_buffer",
-    "net_send_buffer",
-    "received_event_capacity",
-)
-_RATES = (
-    "r_connect_pub",
-    "r_connect_sub",
-    "r_accept_conn",
-    "r_disconnect_pub",
-    "r_disconnect_sub",
-    "r_subscribe",
-    "r_unsubscribe",
-    "r_publish",
-    "r_accept_pub",
-    "r_pub_qos",
-    "r_notify",
-    "r_consume",
-)
-
 #: Factors the self-optimizer may adjust.
 FACTOR_NAMES = (
     "net_recv_buffer",
@@ -99,14 +76,18 @@ class PubSubParams:
     r_consume: float = 2.0
 
     def __post_init__(self):
-        for name in _POPULATIONS + _RESOURCE_FACTORS:
-            v = getattr(self, name)
-            if not (is_count(v) and v >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        for name in _RATES:
-            v = getattr(self, name)
-            if not (is_real(v) and v > 0.0 and np.isfinite(v)):
-                raise ValueError(f"{name} must be a positive rate, got {v!r}")
+        # each field is checked by its declared type, which this module's
+        # postponed annotations keep as a string
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if f.type == "int":
+                if not (is_count(v) and v >= 1):
+                    raise ValueError(f"{f.name} must be a positive integer, got {v!r}")
+            elif not (is_real(v) and v > 0.0 and np.isfinite(v)):
+                raise ValueError(f"{f.name} must be a positive rate, got {v!r}")
+
+
+_RATES = tuple(f.name for f in dataclasses.fields(PubSubParams) if f.type == "float")
 
 
 PLACE_NAMES = (

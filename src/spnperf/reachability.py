@@ -122,10 +122,6 @@ class Ctmc:
     def state_index(self, m: Marking) -> int:
         return self._index[tuple(m)]
 
-    def state_array(self) -> np.ndarray:
-        """States as a read-only (n_states, n_places) integer array."""
-        return self.markings
-
 
 def explore(net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctmc:
     """Enumerate all markings reachable from the initial marking.

@@ -55,28 +55,19 @@ MARKING_CACHE_LIMIT = 10_000
 
 
 def _event_entry(net: SpnNet, m, cache):
-    # what the event loop needs of marking m, asked of the firing kernel
-    # once: the enabled transitions, their mean delays (1/rate) as floats,
-    # the successor of each and the marked places as (place, tokens) pairs;
-    # stored while the cache has room (caching changes no result)
-    entry = cache.get(m)
-    if entry is None:
-        arr = np.array(m, dtype=np.int64)
-        enabled, rates = enabled_rates(net, arr[None, :])
-        ts = np.flatnonzero(enabled[0])
-        successors = [tuple(row) for row in (arr + net.delta[ts]).tolist()]
-        marked = [(p, x) for p, x in enumerate(m) if x]
-        entry = (tuple(ts.tolist()), (1.0 / rates[0, ts]).tolist(), successors, marked)
-        if len(cache) < MARKING_CACHE_LIMIT:
-            cache[m] = entry
+    # what the event loop needs of marking m, which the cache lacks, asked of
+    # the firing kernel: the enabled transitions, their mean delays (1/rate)
+    # as floats, the successor of each and the marked places as (place,
+    # tokens) pairs; stored while the cache has room (caching changes no result)
+    arr = np.array(m, dtype=np.int64)
+    enabled, rates = enabled_rates(net, arr[None, :])
+    ts = np.flatnonzero(enabled[0])
+    successors = [tuple(row) for row in (arr + net.delta[ts]).tolist()]
+    marked = [(p, x) for p, x in enumerate(m) if x]
+    entry = (tuple(ts.tolist()), (1.0 / rates[0, ts]).tolist(), successors, marked)
+    if len(cache) < MARKING_CACHE_LIMIT:
+        cache[m] = entry
     return entry
-
-
-def _marking_info(net: SpnNet, m, cache):
-    # the event loop's entry for m as arrays: the enabled transitions, their
-    # mean delays, the successor of each and the marking
-    enabled, scales, successors, _marked = _event_entry(net, m, cache)
-    return enabled, np.array(scales), successors, np.array(m, dtype=np.int64)
 
 
 def simulate_run(

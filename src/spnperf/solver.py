@@ -1,10 +1,10 @@
 """Stationary distribution of the embedded CTMC and derived metrics.
 
-The generator Q has summed edge rates off the diagonal and diagonal
-entries making each row sum to zero.  Small chains are solved directly
-by GTH elimination inside the band of Q in reverse Cuthill-McKee order;
-larger chains fall back to Gauss-Seidel sweeps on pi*Q = 0 with
-renormalization.  A non-finite result is never returned.
+The generator Q is stored as its off-diagonal rates, parallel edges
+summed, and its out-rates, which its diagonal holds negated.  Small chains
+are solved directly by GTH elimination inside the band of Q in reverse
+Cuthill-McKee order; larger chains fall back to Gauss-Seidel sweeps on
+pi*Q = 0 with renormalization.  A non-finite result is never returned.
 
 The direct solve eliminates 32 states at a time.  A block's own states
 are eliminated one by one in a small array that stands in for the rest
@@ -89,21 +89,18 @@ class _Pattern:
     """Where a chain's generator Q has entries: everything about Q that the
     rates do not change, and what the solver derives from it.
 
-    ``row`` and ``col`` list Q's entries sorted by (row, col): each
-    distinct off-diagonal edge once (parallel edges summed, self-loops
-    dropped) and every diagonal entry.  ``edge_slot`` maps each kept edge of
-    the chain to its entry and ``diag_slot`` each state to its diagonal.
+    ``row`` and ``col`` list Q's off-diagonal entries sorted by (row, col):
+    each distinct edge once (parallel edges summed, self-loops dropped).
+    ``edge_slot`` maps each kept edge of the chain to its entry.
     """
 
     def __init__(self, ctmc: Ctmc):
         n = self.n = ctmc.n_states
         self.keep = ctmc.src != ctmc.dst
-        edges = ctmc.src[self.keep] * n + ctmc.dst[self.keep]
-        keys, slot = np.unique(
-            np.concatenate([edges, np.arange(n) * (n + 1)]), return_inverse=True
+        keys, self.edge_slot = np.unique(
+            ctmc.src[self.keep] * n + ctmc.dst[self.keep], return_inverse=True
         )
         self.row, self.col = np.divmod(keys, n)
-        self.edge_slot, self.diag_slot = slot[: edges.size], slot[edges.size :]
 
     @cached_property
     def unreturning(self) -> np.ndarray:
@@ -131,8 +128,9 @@ def _pattern(ctmc: Ctmc) -> _Pattern:
 
 @dataclass(frozen=True, eq=False)
 class Generator:
-    """Generator Q of a chain: ``val`` holds the entries at ``pattern.row``
-    and ``pattern.col``, the diagonal entries minus the out-rates ``out``."""
+    """Generator Q of a chain: ``val`` holds the off-diagonal entries at
+    ``pattern.row`` and ``pattern.col``; the diagonal is minus ``out``, each
+    state's out-rate."""
 
     pattern: _Pattern
     val: np.ndarray
@@ -144,12 +142,10 @@ class Generator:
 
 
 def generator(ctmc: Ctmc) -> Generator:
-    """Q with summed parallel edges off the diagonal and rows summing to zero."""
+    """Q's summed off-diagonal rates and each state's out-rate, their row sum."""
     p = _pattern(ctmc)
     val = np.bincount(p.edge_slot, ctmc.rate[p.keep], minlength=p.row.size)
-    out = np.bincount(p.row, val, minlength=p.n)
-    val[p.diag_slot] = -out
-    return Generator(p, val, out)
+    return Generator(p, val, np.bincount(p.row, val, minlength=p.n))
 
 
 def _row_pointers(row: np.ndarray, n: int) -> np.ndarray:
@@ -198,9 +194,11 @@ def _check_structure(ctmc: Ctmc, q: Generator):
 
 
 def _residual(pi: np.ndarray, q: Generator) -> float:
-    # bincount adds each column's entries in row order, as a sparse pi @ Q does
+    # (pi Q)_j is the inflow into j less its outflow pi_j out_j; bincount
+    # adds each column's entries in row order
     p = q.pattern
-    return float(np.abs(np.bincount(p.col, pi[p.row] * q.val, minlength=p.n)).max())
+    inflow = np.bincount(p.col, pi[p.row] * q.val, minlength=p.n)
+    return float(np.abs(inflow - pi * q.out).max())
 
 
 def _reverse_cuthill_mckee(p: _Pattern) -> np.ndarray:
@@ -209,9 +207,7 @@ def _reverse_cuthill_mckee(p: _Pattern) -> np.ndarray:
     # neighbour, then by degree, then by index, which is the order a
     # state-by-state search gives.  Each component starts at a state of
     # minimum degree, as scipy's reverse_cuthill_mckee does.
-    n = p.n
-    off = p.row != p.col
-    r, c = p.row[off], p.col[off]
+    n, r, c = p.n, p.row, p.col
     # sorted distinct keys: np.unique would build a hash table, which numpy 2
     # makes many times slower than this on large arrays
     keys = np.sort(np.concatenate([r * n + c, c * n + r]))
@@ -240,12 +236,11 @@ def _reverse_cuthill_mckee(p: _Pattern) -> np.ndarray:
     return order[::-1]
 
 
-def _band(p: _Pattern) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Q's off-diagonal entries, their places in RCM order, and b there."""
+def _band(p: _Pattern) -> tuple[np.ndarray, np.ndarray, int]:
+    """The places of Q's off-diagonal entries in RCM order, and b there."""
     at = np.argsort(p.rcm)  # where each state sits in the order
-    off = np.flatnonzero(p.row != p.col)
-    i, j = at[p.row[off]], at[p.col[off]]
-    return off, i, j, int(np.abs(i - j).max(initial=0))
+    i, j = at[p.row], at[p.col]
+    return i, j, int(np.abs(i - j).max(initial=0))
 
 
 def _solve_direct(q: Generator, tol: float, block: int = 32) -> tuple[np.ndarray, int]:
@@ -269,9 +264,9 @@ def _solve_direct(q: Generator, tol: float, block: int = 32) -> tuple[np.ndarray
     # non-negative numbers: nothing is subtracted.
     p = q.pattern
     n = p.n
-    off, i, j, b = p.band
+    i, j, b = p.band
     a = np.zeros((n, n))
-    a[i, j] = q.val[off]
+    a[i, j] = q.val
     hi = n
     while hi > 1:
         lo = max(hi - block, 1)

@@ -448,7 +448,8 @@ def test_net_document_rate_and_names_are_not_coerced(tmp_path, capsys, section, 
 
 
 @pytest.mark.parametrize(
-    "key, value", [("step", 2.5), ("max_actions_per_snapshot", 1.5), ("step", True)]
+    "key, value",
+    [("step", 2.5), ("max_actions_per_snapshot", 1.5), ("step", True), ("step", 1)],
 )
 def test_policy_counts_must_be_json_integers(tmp_path, params_file, capsys, key, value):
     doc = {

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from spnperf.net import INFINITE_SERVER, SINGLE_SERVER, Place, SpnNet, Transition
 from spnperf.pubsub import PubSubParams, build_pubsub_net
 from spnperf.reachability import StateExplosionError, explore
-from spnperf.simulator import _marking_info
+from spnperf.simulator import _event_entry
 from nets import (
     deadlock_net,
     mm1k_net,
@@ -290,12 +290,12 @@ def test_simulator_marking_info_matches_oracle(net):
     # stream, so both must equal the scalar logic's exactly
     states, _edges, _deadlocks = oracle_explore(net)
     for m in states:
-        enabled, scales, successors, arr = _marking_info(net, m, {})
+        enabled, scales, successors, marked = _event_entry(net, m, {})
         expected = _scalar_enabled(net, m)
         assert enabled == tuple(expected)
-        assert scales.tolist() == [1.0 / _scalar_rate(net, m, t) for t in expected]
+        assert scales == [1.0 / _scalar_rate(net, m, t) for t in expected]
         assert successors == [
             tuple(a + int(net.post[p, t]) - int(net.pre[p, t]) for p, a in enumerate(m))
             for t in expected
         ]
-        assert arr.tolist() == list(m)
+        assert marked == [(p, a) for p, a in enumerate(m) if a]

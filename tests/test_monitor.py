@@ -228,6 +228,8 @@ def test_policy_validation():
         ({"initial_qos_level": True}, "initial_qos_level"),
         ({"caps": {"broker_memory": 2.5}}, "caps"),
         ({"caps": {"net_recv_buffer": True}}, "caps"),
+        # a step of 1 grows nothing: each growth action would re-solve the same model
+        ({"step": 1}, "step"),
     ],
 )
 def test_policy_counts_must_be_integers(overrides, field_name):

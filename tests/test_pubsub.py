@@ -173,7 +173,7 @@ def test_qos_level_rate_mapping():
 def test_boundedness_via_invariants():
     params = PubSubParams()
     ctmc = explore(build_pubsub_net(params))
-    arr = ctmc.state_array()
+    arr = ctmc.markings
     caps = {
         "PubRequest": params.n_events,
         "PubAccepted": params.net_recv_buffer,
@@ -195,3 +195,16 @@ def test_a_bool_rate_is_refused():
     # float(True) > 0 used to let it through as rate 1.0
     with pytest.raises(ValueError, match="r_publish"):
         PubSubParams(r_publish=True)
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(PubSubParams), ids=lambda f: f.name)
+def test_every_field_is_checked(field):
+    # the kind comes from the default value, not from the annotation that
+    # PubSubParams reads, so a change in how annotations are kept shows here
+    if isinstance(getattr(PubSubParams(), field.name), int):
+        bad, kind = (0, 2.5, True), "positive integer"
+    else:
+        bad, kind = (0.0, -1.0, float("nan"), float("inf"), True), "positive rate"
+    for value in bad:
+        with pytest.raises(ValueError, match=f"^{field.name} must be a {kind}, got"):
+            PubSubParams(**{field.name: value})

@@ -12,6 +12,8 @@ same probabilities to 1e-12 componentwise.
 
 The solver's reverse Cuthill-McKee order is checked against scipy's: a
 permutation, a band no wider, and the same order from the same start state.
+Its residual, computed from Q's off-diagonal rates and out-rates, is checked
+against max|pi Q| with Q dense.
 The oracles build Q with scipy themselves (``generator_matrix``).
 """
 
@@ -199,6 +201,40 @@ def test_random_irreducible_chains_match_dense(net, block):
     pi, _iterations = solver._solve_direct(solver.generator(ctmc), solver.DEFAULT_TOL, block=block)
     assert_componentwise(pi, expected)
     assert_componentwise(steady_state(ctmc, method="direct").probabilities, expected)
+
+
+# -- the residual against a dense pi Q ----------------------------------------
+
+def assert_residual_matches_dense(ctmc):
+    """``_residual`` against max|pi Q| with dense Q, for the solved pi and a
+    random positive vector, to 1e-15 of the largest outflow pi_j out_j."""
+    q = solver.generator(ctmc)
+    dense = generator_matrix(ctmc).toarray()
+    out = -np.diag(dense)
+    rng = np.random.default_rng(0)
+    for pi in (steady_state(ctmc).probabilities, rng.uniform(0.1, 1.0, ctmc.n_states)):
+        expected = np.abs(pi @ dense).max()
+        assert abs(solver._residual(pi, q) - expected) <= 1e-15 * (pi * out).max()
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        build_pubsub_net(PubSubParams(**PUBSUB_CONFIGS[0][0])),
+        build_pubsub_net(PubSubParams(**PUBSUB_CONFIGS[2][0])),
+        mm1k_net(0.1, 1.0, 40),
+        mm1k_net(0.1, 1.0, 300),
+    ],
+    ids=["pubsub-1260", "pubsub-2100", "mm1k-40", "mm1k-300"],
+)
+def test_residual_matches_dense_pi_q(net):
+    assert_residual_matches_dense(explore(net))
+
+
+@settings(max_examples=100, deadline=None)
+@given(irreducible_chains())
+def test_residual_matches_dense_pi_q_on_random_chains(net):
+    assert_residual_matches_dense(explore(net))
 
 
 # -- the ordering: numpy's Cuthill-McKee against scipy's ----------------------
