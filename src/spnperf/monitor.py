@@ -144,9 +144,18 @@ def solve_model(model, max_states: int = DEFAULT_MAX_STATES, _previous=None):
     return ctmc, dist, report
 
 
-def evaluate(params: PubSubParams, max_states: int = DEFAULT_MAX_STATES) -> MetricsReport:
-    """Build the net, solve its CTMC and return the headline metrics."""
-    return solve_model(params, max_states)[2]
+def evaluate(
+    params: PubSubParams, max_states: int = DEFAULT_MAX_STATES, _chain=None
+) -> MetricsReport:
+    """Build the net, solve its CTMC and return the headline metrics.
+
+    ``_chain`` is a one-item list: the chain it holds, if any, is passed to
+    ``solve_model`` as ``_previous``, and the solved chain replaces it.
+    """
+    if _chain is None:
+        return solve_model(params, max_states)[2]
+    _chain[0], _dist, report = solve_model(params, max_states, _chain[0])
+    return report
 
 
 def detect_degradation(report: MetricsReport, policy: MonitorPolicy) -> list[str]:
@@ -233,8 +242,9 @@ def run_loop(
         before = None
         actions = []
         cand_level = qos_level
+        chain = [None]  # the last evaluation's chain, re-rated after a rate-only action
         try:
-            before = report = evaluate(candidate, max_states=max_states)
+            before = report = evaluate(candidate, max_states=max_states, _chain=chain)
             while (
                 detect_degradation(report, policy)
                 and len(actions) < policy.max_actions_per_snapshot
@@ -244,7 +254,9 @@ def run_loop(
                     break
                 candidate, cand_level = apply_action(candidate, policy, action, cand_level)
                 actions.append(action)
-                report = evaluate(candidate, max_states=max_states)
+                if action != LOWER_QOS_LEVEL:  # growth changes the net's structure
+                    chain[0] = None
+                report = evaluate(candidate, max_states=max_states, _chain=chain)
         except SpnError:
             records.append(
                 DecisionRecord(snap.timestamp, before, None, tuple(actions), EVALUATION_FAILED)

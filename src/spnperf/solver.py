@@ -2,33 +2,39 @@
 
 The generator Q is stored as its off-diagonal rates, parallel edges
 summed, and its out-rates, which its diagonal holds negated.  Small chains
-are solved directly by GTH elimination inside the band of Q in reverse
+are solved directly by GTH elimination inside the envelope of Q in reverse
 Cuthill-McKee order; larger chains fall back to Gauss-Seidel sweeps on
 pi*Q = 0 with renormalization.  A non-finite result is never returned.
 
-The direct solve eliminates 32 states at a time.  A block's own states
-are eliminated one by one in a small array that stands in for the rest
-of the chain with two kinds of extra entries: one aggregate column,
-holding each block row's summed rates into the band window below the
-block, which is all a pivot needs of the window; and identity seeds,
+The direct solve eliminates 32 states at a time, each block over its
+envelope window: the states below it that reach into it, the only ones
+that fill can touch.  A block's own states are eliminated in a small
+array that stands in for the rest of the chain with two kinds of extra
+entries: one aggregate column, holding each block row's summed rates into
+the window, which is all a pivot needs of the window; and identity seeds,
 which the same eliminations turn into T = (I - N)^-1 and V = (S - M)^-1,
 where minus the block's part of the generator factors as (I - N)(S - M).
 Three matrix products then update the block's rows (T @ R0), its columns
-(C0 @ V) and the window (C @ R).  All of these entries, and every
-operation on them, are non-negative sums, products and quotients, so
-GTH's componentwise accuracy (O'Cinneide 1993) holds as it does one
-state at a time.
+(C0 @ V) and the window (C @ R).  The small array is eliminated by the
+same scheme, 16 states at a time, and only that inner level goes state
+by state.  Back-substitution goes a block at a time through T, which is
+(I - N)^-1 for N the block's in-block coupling.  All of these entries,
+and every operation on them, are non-negative sums, products and
+quotients, so GTH's componentwise accuracy (O'Cinneide 1993) holds as it
+does one state at a time.
 
 Gauss-Seidel runs each sweep's forward substitution level by level and
 reads the sweep's residual off the upper inflow the next sweep needs.
 What depends only on the chain's structure -- Q's pattern, the
-irreducibility verdict, the RCM order with Q's band layout, and the level
-plan in level order -- is derived once, with numpy alone, and kept in
-``Ctmc.structure_memo``, so a solve does rate work only.
+irreducibility verdict, the RCM order with Q's layout and envelope
+windows, and the level plan in level order -- is derived once, with
+numpy alone, and kept in ``Ctmc.structure_memo``, so a solve does rate
+work only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -113,6 +119,10 @@ class _Pattern:
     @cached_property
     def band(self) -> tuple:
         return _band(self)
+
+    @cached_property
+    def windows(self) -> np.ndarray:
+        return _windows(self)
 
     @cached_property
     def gs_plan(self) -> tuple:
@@ -236,22 +246,94 @@ def _reverse_cuthill_mckee(p: _Pattern) -> np.ndarray:
     return order[::-1]
 
 
-def _band(p: _Pattern) -> tuple[np.ndarray, np.ndarray, int]:
-    """The places of Q's off-diagonal entries in RCM order, and b there."""
+def _band(p: _Pattern) -> tuple[np.ndarray, np.ndarray]:
+    """The places of Q's off-diagonal entries in RCM order."""
     at = np.argsort(p.rcm)  # where each state sits in the order
-    i, j = at[p.row], at[p.col]
-    return i, j, int(np.abs(i - j).max(initial=0))
+    return at[p.row], at[p.col]
+
+
+def _windows(p: _Pattern) -> np.ndarray:
+    """Where each state's elimination window starts, in RCM order.
+
+    With ``reach[j]`` the highest state adjacent to j in Q + Q^T, state k's
+    window starts at the first state j with ``max(reach[:j + 1]) >= k``.
+    Eliminating from the top keeps every nonzero a[i, k] and a[k, i],
+    i < k, at i >= start[k] (George and Liu 1981): fill joins two states
+    below the pivot, and both of them reach it.
+    """
+    i, j = p.band
+    reach = np.arange(p.n)
+    np.maximum.at(reach, i, j)
+    np.maximum.at(reach, j, i)
+    return np.searchsorted(np.maximum.accumulate(reach), np.arange(p.n))
+
+
+def _eliminate(a: np.ndarray, first: int, sizes: tuple, start=None) -> list:
+    """GTH-eliminate states ``a.shape[0] - 1`` down to ``first`` in place.
+
+    State k's pivot adds up ``a[k, first - 1:k]``: the columns below
+    ``first - 1`` are not states.  With ``sizes`` empty the states go one
+    by one.  Otherwise they go in blocks of ``sizes[0]`` from the top, each
+    over the window ``[start[lo], lo)`` below it (``[0, lo)`` when ``start``
+    is None), and each block's own array is eliminated the same way with
+    ``sizes[1:]``.  Leaves a's strictly upper part as eliminating one state
+    at a time would, and returns each block's ``(lo, hi, T)``, from the top.
+    """
+    n = a.shape[0]
+    if not sizes:
+        for k in range(n - 1, first - 1, -1):
+            col = a[:k, k]
+            col /= a[k, first - 1 : k].sum()
+            a[:k, :k] += col[:, None] * a[k, :k]
+        return []
+    blocks = []
+    bounds = [*range(n, first, -sizes[0]), first]
+    for hi, lo in zip(bounds, bounds[1:]):
+        m = hi - lo
+        w = 0 if start is None else start[lo]
+        win, blk = slice(w, lo), slice(lo, hi)
+        g = np.zeros((2 * m + 1, 2 * m + 1))
+        g[:m, m + 1 :] = np.eye(m)
+        g[m + 1 :, :m] = np.eye(m)
+        g[m + 1 :, m] = a[blk, max(w, first - 1) : lo].sum(axis=1)
+        g[m + 1 :, m + 1 :] = a[blk, blk]
+        _eliminate(g, m + 1, sizes[1:])
+        t, v = g[m + 1 :, :m], g[:m, m + 1 :]
+        r = t @ a[blk, win]
+        a[win, blk] = a[win, blk] @ v
+        a[win, win] += a[win, blk] @ r
+        a[blk, win] = r
+        a[blk, blk] = g[m + 1 :, m + 1 :]
+        blocks.append((lo, hi, t.copy()))  # T alone, not all of g
+    return blocks
+
+
+def _back_substitute(a: np.ndarray, blocks: list, start: np.ndarray) -> np.ndarray:
+    """Unnormalized pi from ``_eliminate``'s array and blocks, block by
+    block from state 0: ``x[lo:hi] = (x[w:lo] @ a[w:lo, lo:hi]) @ T``."""
+    x = np.empty(a.shape[0])
+    x[0] = 1.0
+    for lo, hi, t in reversed(blocks):
+        w = start[lo]
+        x[lo:hi] = (x[w:lo] @ a[w:lo, lo:hi]) @ t
+        # x holds probability ratios, which grow by up to T's entries within
+        # a block: keep its largest entry below 1 by an exact power of two
+        top = x[lo:hi].max()
+        if top > 1.0:
+            x[:hi] = np.ldexp(x[:hi], -math.frexp(top)[1])
+    return x
 
 
 def _solve_direct(q: Generator, tol: float, block: int = 32) -> tuple[np.ndarray, int]:
     # GTH state elimination.  Every operation adds, multiplies or divides
     # non-negative rates -- no cancellation -- so the probabilities keep
     # componentwise relative accuracy in any elimination order (O'Cinneide
-    # 1993).  In reverse Cuthill-McKee order Q has half-bandwidth b, so
-    # eliminating state k touches only [k - b, k): no fill, O(n b^2) work.
+    # 1993).  In reverse Cuthill-McKee order, eliminating state k touches
+    # only its envelope window [start[k], k) (``_windows``): no fill
+    # outside it.
     #
     # States [lo, hi) go as one block B of m states over the window
-    # W = [lo - b, lo) below it.  Minus the generator's B part factors as
+    # W = [start[lo], lo) below it.  Minus the generator's B part factors as
     # (I - N)(S - M): N the pivot-scaled columns a[j, k] / s_k, S - M the
     # rows at each pivot.  g holds m seeds, an aggregate column and B.
     # The aggregate column starts as each B row's sum over W and is
@@ -262,39 +344,22 @@ def _solve_direct(q: Generator, tol: float, block: int = 32) -> tuple[np.ndarray
     # columns into B are C0 @ V, B's rows into W are T @ R0, and W gains
     # C @ R.  Each entry is built from sums, products and quotients of
     # non-negative numbers: nothing is subtracted.
+    #
+    # g is eliminated by the same scheme, 16 states at a time, each inner
+    # block over all of g below it; its pivots add up the aggregate column
+    # and B's own columns, never the seeds.  Only this inner level goes
+    # state by state.  T lives in the rows of g's inner blocks, so each
+    # block's rows are written back as T @ R0 -- the outer level never
+    # reads its own stale rows, but the inner level does.
+    #
+    # Back-substitution: x_B = x_W C + x_B N, as N is B's in-block
+    # coupling, so x_B = (x_W C) @ T, one block at a time.
     p = q.pattern
     n = p.n
-    i, j, b = p.band
+    i, j = p.band
     a = np.zeros((n, n))
     a[i, j] = q.val
-    hi = n
-    while hi > 1:
-        lo = max(hi - block, 1)
-        m = hi - lo
-        win, blk = slice(max(lo - b, 0), lo), slice(lo, hi)
-        g = np.zeros((2 * m + 1, 2 * m + 1))
-        g[:m, m + 1 :] = np.eye(m)
-        g[m + 1 :, :m] = np.eye(m)
-        g[m + 1 :, m] = a[blk, win].sum(axis=1)
-        g[m + 1 :, m + 1 :] = a[blk, blk]
-        for k in range(2 * m, m, -1):
-            col = g[:k, k]
-            col /= g[k, m:k].sum()
-            g[:k, :k] += col[:, None] * g[k, :k]
-        t, v = g[m + 1 :, :m], g[:m, m + 1 :]
-        r = t @ a[blk, win]
-        a[win, blk] = a[win, blk] @ v
-        a[win, win] += a[win, blk] @ r
-        a[blk, blk] = g[m + 1 :, m + 1 :]
-        hi = lo
-    # x multiplies probability ratios: rescale it (exactly) before it overflows
-    x = np.empty(n)
-    x[0] = 1.0
-    for k in range(1, n):
-        w = max(k - b, 0)
-        x[k] = x[w:k] @ a[w:k, k]
-        if x[k] > 2.0**500:
-            x[: k + 1] *= 2.0**-500
+    x = _back_substitute(a, _eliminate(a, 1, (block, 16), p.windows), p.windows)
     pi = np.empty(n)
     pi[p.rcm] = x / x.sum()
     return pi, 0

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from spnperf import monitor
 from spnperf.monitor import (
     COMPLIANT,
     EVALUATION_FAILED,
@@ -19,6 +20,7 @@ from spnperf.monitor import (
     run_loop,
 )
 from spnperf.pubsub import PubSubParams
+from spnperf.reachability import explore
 from spnperf.solver import MetricsReport
 
 # thresholds frozen between the buffer=1 evaluation (accept 2.9239,
@@ -197,6 +199,39 @@ def test_run_loop_adjustments_persist_across_snapshots():
     assert records[0].actions != ()
     assert records[1].actions == ()  # the grown buffers carried over
     assert records[1].outcome == COMPLIANT
+
+
+def test_lowering_the_qos_level_rerates_the_explored_chain(monkeypatch):
+    # lower_qos_level changes only r_pub_qos: the snapshot explores its
+    # structure once, re-rates it for the action's evaluation, and decides
+    # as it does when every evaluation explores afresh
+    policy = MonitorPolicy(
+        0.0, 0.0, action_order=(LOWER_QOS_LEVEL,), qos_reduction_allowed=True
+    )
+    trace = [WorkloadSnapshot(1.0, 2, 2, 3)]
+    explored = []
+
+    def counted(net, max_states):
+        explored.append(net)
+        return explore(net, max_states=max_states)
+
+    monkeypatch.setattr(monitor, "explore", counted)
+    records = run_loop(trace, PubSubParams(), policy)
+    assert len(explored) == 1
+    assert records[0].actions == (LOWER_QOS_LEVEL,)
+    monkeypatch.setattr(monitor, "rerate", lambda previous, net, max_states: None)
+    assert run_loop(trace, PubSubParams(), policy) == records
+    assert len(explored) == 3
+
+
+def test_growth_actions_never_offer_a_chain_to_rerate(monkeypatch):
+    # growth changes the net's structure, so its evaluations explore afresh
+    # without a rerate attempt first
+    calls = []
+    monkeypatch.setattr(monitor, "rerate", lambda *args: calls.append(args))
+    (record,) = run_loop([WorkloadSnapshot(1.0, 2, 2, 3)], PubSubParams(), DEGRADED_POLICY)
+    assert record.actions and LOWER_QOS_LEVEL not in record.actions
+    assert calls == []
 
 
 def test_run_loop_is_idempotent():

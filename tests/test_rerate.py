@@ -208,7 +208,8 @@ def test_sweep_rows_equal_analyze_of_each_point(tmp_path, capsys):
 @pytest.mark.parametrize(
     "overrides, values, derived",
     [
-        ({}, "0.3,0.6,0.9,1.5,2.5,4", ["_band", "_cannot_return", "_reverse_cuthill_mckee"]),
+        ({}, "0.3,0.6,0.9,1.5,2.5,4",
+         ["_band", "_cannot_return", "_reverse_cuthill_mckee", "_windows"]),
         # 2,100 states: above DIRECT_STATE_LIMIT, so Gauss-Seidel's level plan
         ({"n_events": 4, "net_recv_buffer": 2, "net_send_buffer": 2}, "0.5,2",
          ["_cannot_return", "_level_plan"]),
@@ -219,10 +220,10 @@ def test_a_rate_sweep_derives_the_solver_structure_once(
     overrides, values, derived, tmp_path, capsys, monkeypatch
 ):
     # the points share one structure, so its irreducibility verdict and its
-    # ordering and band layout, or its level plan, are derived for the first
-    # point and reused
+    # ordering, layout and envelope windows, or its level plan, are derived
+    # for the first point and reused
     calls = []
-    for name in ("_cannot_return", "_reverse_cuthill_mckee", "_band", "_level_plan"):
+    for name in ("_cannot_return", "_reverse_cuthill_mckee", "_band", "_windows", "_level_plan"):
         def counted(pattern, _name=name, _fn=getattr(solver, name)):
             calls.append(_name)
             return _fn(pattern)

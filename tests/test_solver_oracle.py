@@ -10,6 +10,11 @@ Gauss-Seidel, which substitutes level by level, is checked against a sweep
 loop that solves the triangle with scipy afresh each sweep: same sweep count,
 same probabilities to 1e-12 componentwise.
 
+The block back-substitution is checked against the per-state one it
+replaced, on the same eliminated array, and on steep chains against a
+closed form.  A per-state elimination that updates every row and column
+that can fill checks that fill stays inside the solver's envelope windows.
+
 The solver's reverse Cuthill-McKee order is checked against scipy's: a
 permutation, a band no wider, and the same order from the same start state.
 Its residual, computed from Q's off-diagonal rates and out-rates, is checked
@@ -321,6 +326,87 @@ def test_monitor_trace_chain_at_3900_states_forced_direct_matches_dense():
     ctmc = explore(build_pubsub_net(PubSubParams(**overrides, **rates)))
     assert ctmc.n_states == n_states > solver.DIRECT_STATE_LIMIT
     assert_matches_dense(ctmc)
+
+
+# -- envelope windows and the block back-substitution --------------------------
+
+def rcm_dense(ctmc):
+    """Q's off-diagonal rates as a dense array in the solver's RCM order, and
+    the solver's windows."""
+    q = solver.generator(ctmc)
+    i, j = q.pattern.band
+    a = np.zeros(q.shape)
+    a[i, j] = q.val
+    return a, q.pattern.windows
+
+
+def per_state_elimination(a):
+    """GTH one state at a time.  Each update covers every row and column from
+    the first nonzero of the pivot's column and row, so fill lands wherever
+    it falls, windows or not."""
+    for k in range(a.shape[0] - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        r0, c0 = np.flatnonzero(a[:k, k])[0], np.flatnonzero(a[k, :k])[0]
+        a[r0:k, c0:k] += np.outer(a[r0:k, k], a[k, c0:k])
+    return a
+
+
+def assert_inside_windows(ctmc):
+    a, start = rcm_dense(ctmc)
+    rows, cols = np.nonzero(per_state_elimination(a))
+    low, high = np.minimum(rows, cols), np.maximum(rows, cols)
+    outside = (low < start[high]) & (low != high)
+    assert not outside.any(), f"{outside.sum()} nonzeros outside the windows"
+
+
+@pytest.mark.parametrize("overrides,n_states", PUBSUB_CONFIGS)
+def test_fill_stays_inside_the_envelope_windows(overrides, n_states):
+    assert_inside_windows(explore(build_pubsub_net(PubSubParams(**overrides))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(irreducible_chains())
+def test_fill_stays_inside_the_envelope_windows_of_random_chains(net):
+    assert_inside_windows(explore(net))
+
+
+def per_state_back_substitution(a):
+    """The back-substitution as the solver first ran it: one state at a time,
+    x_k = x[:k] @ a[:k, k], rescaled by 2^-500 once an entry passes 2^500."""
+    n = a.shape[0]
+    x = np.empty(n)
+    x[0] = 1.0
+    for k in range(1, n):
+        x[k] = x[:k] @ a[:k, k]
+        if x[k] > 2.0**500:
+            x[: k + 1] *= 2.0**-500
+    return x / x.sum()
+
+
+@pytest.mark.parametrize("overrides,n_states", PUBSUB_CONFIGS)
+def test_block_back_substitution_matches_the_per_state_one(overrides, n_states):
+    a, start = rcm_dense(explore(build_pubsub_net(PubSubParams(**overrides))))
+    blocks = solver._eliminate(a, 1, (BLOCK, 16), start)  # as _solve_direct does
+    x = solver._back_substitute(a, blocks, start)
+    assert_componentwise(x / x.sum(), per_state_back_substitution(a), rtol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "lam, mu, k",
+    [(1e4, 1.0, 70), (1.0, 1e4, 70), (1e8, 1.0, 35), (1.0, 1e8, 35), (1e8, 1.0, 70), (1.0, 1e8, 70)],
+)
+def test_steep_mm1k_matches_log_space_closed_form(lam, mu, k):
+    # pi falls or grows by up to 1e256 within one block, so each block must
+    # start from rescaled ratios; at K = 70 with 1e8 the tail underflows.
+    # steady_state's absolute residual would refuse rates this large, so
+    # the solve is called directly
+    ctmc = explore(mm1k_net(lam, mu, k))
+    pi, _iterations = solver._solve_direct(solver.generator(ctmc), solver.DEFAULT_TOL)
+    assert np.isfinite(pi).all()
+    expected = np.exp(mm1k_log_pi(lam, mu, k))[ctmc.markings[:, 1]]
+    normal = expected > 1e-300
+    assert_componentwise(pi[normal], expected[normal])
+    assert np.abs(pi[~normal] - expected[~normal]).max(initial=0.0) <= 1e-300
 
 
 # -- Gauss-Seidel against a sweep loop that re-solves its triangle ------------
