@@ -8,14 +8,13 @@ accept-publication and the end-to-end notification response time,
 with diminishing returns once the bottleneck moves elsewhere.
 """
 
-from spnperf import PubSubParams, build_pubsub_net, explore, headline_metrics, steady_state
+from spnperf import PubSubParams
+from spnperf.monitor import solve_model
 from spnperf.pubsub import set_factor
 
 
 def evaluate(params):
-    ctmc = explore(build_pubsub_net(params))
-    dist = steady_state(ctmc)
-    report = headline_metrics(ctmc, dist)
+    ctmc, _dist, report = solve_model(params)
     return (
         report.response_times["accept_publication_response_time"],
         report.response_times["notification_response_time"],

@@ -90,10 +90,8 @@ def cmd_sweep(args) -> int:
         points.append((value, params))
 
     print(SWEEP_HEADER)
-    ctmc = None
     for value, params in points:
-        # a point that changes only rates re-rates the previous point's chain
-        ctmc, dist, report = solve_model(params, args.max_states, _previous=ctmc)
+        ctmc, dist, report = solve_model(params, args.max_states)
         accept = report.response_times["accept_publication_response_time"]
         notify = report.response_times["notification_response_time"]
         row = (

@@ -125,37 +125,37 @@ class DecisionRecord:
     outcome: str
 
 
-def solve_model(model, max_states: int = DEFAULT_MAX_STATES, _previous=None):
+#: the last chain ``solve_model`` produced, the one it offers ``rerate`` next
+_last_solved = [None]
+
+
+def solve_model(model, max_states: int = DEFAULT_MAX_STATES):
     """Explore and solve a model; return ``(ctmc, dist, report)``.
 
     ``model`` is a ``PubSubParams``, reported by ``headline_metrics``, or an
     ``SpnNet``, reported by ``chain_metrics``.  This is the only path from
-    a model to its metrics.  ``_previous`` is the chain of an earlier solve:
-    when the model's net differs from its net only in transition rates, the
-    chain is re-rated instead of explored again (``reachability.rerate``).
+    a model to its metrics, and the one owner of chain reuse: when the
+    model's net differs from the net of the last chain solved here only in
+    transition rates, that chain is re-rated instead of explored again
+    (``reachability.rerate``); otherwise it is dropped before exploring, so
+    that one chain at a time is held.
     """
     is_params = isinstance(model, PubSubParams)
     net = build_pubsub_net(model) if is_params else model
-    ctmc = None if _previous is None else rerate(_previous, net, max_states)
+    previous, _last_solved[0] = _last_solved[0], None
+    ctmc = None if previous is None else rerate(previous, net, max_states)
+    previous = None  # dropped before explore builds a second chain
     if ctmc is None:
         ctmc = explore(net, max_states=max_states)
+    _last_solved[0] = ctmc
     dist = steady_state(ctmc)
     report = headline_metrics(ctmc, dist) if is_params else chain_metrics(ctmc, dist)
     return ctmc, dist, report
 
 
-def evaluate(
-    params: PubSubParams, max_states: int = DEFAULT_MAX_STATES, _chain=None
-) -> MetricsReport:
-    """Build the net, solve its CTMC and return the headline metrics.
-
-    ``_chain`` is a one-item list: the chain it holds, if any, is passed to
-    ``solve_model`` as ``_previous``, and the solved chain replaces it.
-    """
-    if _chain is None:
-        return solve_model(params, max_states)[2]
-    _chain[0], _dist, report = solve_model(params, max_states, _chain[0])
-    return report
+def evaluate(params: PubSubParams, max_states: int = DEFAULT_MAX_STATES) -> MetricsReport:
+    """Build the net, solve its CTMC and return the headline metrics."""
+    return solve_model(params, max_states)[2]
 
 
 def detect_degradation(report: MetricsReport, policy: MonitorPolicy) -> list[str]:
@@ -242,9 +242,8 @@ def run_loop(
         before = None
         actions = []
         cand_level = qos_level
-        chain = [None]  # the last evaluation's chain, re-rated after a rate-only action
         try:
-            before = report = evaluate(candidate, max_states=max_states, _chain=chain)
+            before = report = evaluate(candidate, max_states=max_states)
             while (
                 detect_degradation(report, policy)
                 and len(actions) < policy.max_actions_per_snapshot
@@ -254,9 +253,7 @@ def run_loop(
                     break
                 candidate, cand_level = apply_action(candidate, policy, action, cand_level)
                 actions.append(action)
-                if action != LOWER_QOS_LEVEL:  # growth changes the net's structure
-                    chain[0] = None
-                report = evaluate(candidate, max_states=max_states, _chain=chain)
+                report = evaluate(candidate, max_states=max_states)
         except SpnError:
             records.append(
                 DecisionRecord(snap.timestamp, before, None, tuple(actions), EVALUATION_FAILED)

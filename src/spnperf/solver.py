@@ -324,7 +324,7 @@ def _back_substitute(a: np.ndarray, blocks: list, start: np.ndarray) -> np.ndarr
     return x
 
 
-def _solve_direct(q: Generator, tol: float, block: int = 32) -> tuple[np.ndarray, int]:
+def _solve_direct(q: Generator, block: int = 32) -> tuple[np.ndarray, int]:
     # GTH state elimination.  Every operation adds, multiplies or divides
     # non-negative rates -- no cancellation -- so the probabilities keep
     # componentwise relative accuracy in any elimination order (O'Cinneide
@@ -406,7 +406,7 @@ def _level_plan(p: _Pattern) -> tuple:
     return order, levels, (upper, at[p.row[upper]], at[p.col[upper]])
 
 
-def _solve_gauss_seidel(q: Generator, tol: float) -> tuple[np.ndarray, int]:
+def _solve_gauss_seidel(q: Generator) -> tuple[np.ndarray, int]:
     # Each sweep solves (D + L) x' = -U x with Q^T = D + L + U, in the
     # chain's own state order: x'_i is the inflow into i, from the new x'
     # of lower-numbered states and the old x of higher-numbered ones, over
@@ -435,7 +435,7 @@ def _solve_gauss_seidel(q: Generator, tol: float) -> tuple[np.ndarray, int]:
         y /= total
         previous, inflow = inflow, np.bincount(udst, uval * y[usrc], minlength=n)
         residual = float(np.abs(inflow - previous / total).max())
-        if residual <= tol:
+        if residual <= DEFAULT_TOL:
             pi = np.empty(n)
             pi[order] = y
             return pi, sweep
@@ -465,9 +465,9 @@ def steady_state(ctmc: Ctmc, method: str = "auto") -> StationaryDistribution:
     if method == "auto":
         method = "direct" if ctmc.n_states <= DIRECT_STATE_LIMIT else "iterative"
     if method == "direct":
-        pi, iters = _solve_direct(q, DEFAULT_TOL)
+        pi, iters = _solve_direct(q)
     else:
-        pi, iters = _solve_gauss_seidel(q, DEFAULT_TOL)
+        pi, iters = _solve_gauss_seidel(q)
 
     # both paths only add, multiply and divide non-negative numbers, so a
     # negative entry is a fault, refused before normalizing could flip it

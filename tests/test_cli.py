@@ -499,7 +499,7 @@ def test_analyze_prints_finite_json_for_a_stiff_tail(tmp_path, capsys):
 
 def test_non_finite_distribution_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
-        solver, "_solve_direct", lambda q, tol: (np.full(q.shape[0], np.nan), 0)
+        solver, "_solve_direct", lambda q: (np.full(q.shape[0], np.nan), 0)
     )
     code, out, err = run_cli(capsys, "analyze", write_net(tmp_path, mm1k_net(1.0, 2.0, 3)))
     assert code == 3

@@ -224,14 +224,52 @@ def test_lowering_the_qos_level_rerates_the_explored_chain(monkeypatch):
     assert len(explored) == 3
 
 
-def test_growth_actions_never_offer_a_chain_to_rerate(monkeypatch):
-    # growth changes the net's structure, so its evaluations explore afresh
-    # without a rerate attempt first
-    calls = []
-    monkeypatch.setattr(monitor, "rerate", lambda *args: calls.append(args))
-    (record,) = run_loop([WorkloadSnapshot(1.0, 2, 2, 3)], PubSubParams(), DEGRADED_POLICY)
-    assert record.actions and LOWER_QOS_LEVEL not in record.actions
-    assert calls == []
+def _structure(net):
+    # everything but the rates that decides the reachability graph
+    return (
+        net.initial_marking(),
+        tuple((t.priority, t.semantics) for t in net.transitions),
+        net.pre.tobytes(), net.post.tobytes(), net.inh.tobytes(),
+    )
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        MonitorPolicy(math.inf, math.inf),
+        # lowers the QoS level on the first load, grows memory on the second
+        MonitorPolicy(
+            2.0, 3.0, action_order=(LOWER_QOS_LEVEL, GROW_BROKER_MEMORY, GROW_NETWORK_BUFFERS),
+            qos_reduction_allowed=True, max_actions_per_snapshot=2,
+        ),
+    ],
+    ids=["compliant", "acting"],
+)
+def test_a_repeated_load_rerates_the_last_chain(policy, monkeypatch):
+    # each load comes twice in a row: the repeat, and any rate-only action,
+    # re-rates the chain of the evaluation before it, so each structure is
+    # explored once, and the decisions equal those of a run that explores
+    # every evaluation afresh
+    trace = [
+        WorkloadSnapshot(float(t), 2, 2, events)
+        for t, events in enumerate((3, 3, 4, 4), start=1)
+    ]
+    explored = []
+
+    def counted(net, max_states):
+        explored.append(net)
+        return explore(net, max_states=max_states)
+
+    monkeypatch.setattr(monitor, "explore", counted)
+    records = run_loop(trace, PubSubParams(), policy)
+    structures = [_structure(net) for net in explored]
+    assert len(set(structures)) == len(structures)
+    explored.clear()
+    monkeypatch.setattr(monitor, "rerate", lambda previous, net, max_states: None)
+    assert run_loop(trace, PubSubParams(), policy) == records
+    assert len(explored) == sum(1 + len(r.actions) for r in records)
+    assert {_structure(net) for net in explored} == set(structures)
+    assert len(structures) < len(explored)
 
 
 def test_run_loop_is_idempotent():

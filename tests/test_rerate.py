@@ -119,8 +119,8 @@ def test_a_changed_net_structure_explores_afresh(change, monkeypatch):
     net, changed = _net_changes()
     assert rerate(explore(net), changed[change]) is None
     calls = counting_explore(monkeypatch)
-    previous, _dist, _report = monitor.solve_model(net)
-    ctmc, _dist, _report = monitor.solve_model(changed[change], _previous=previous)
+    monitor.solve_model(net)
+    ctmc, _dist, _report = monitor.solve_model(changed[change])
     assert calls == [net, changed[change]]
     assert_same_chain(ctmc, explore(changed[change]))
 
@@ -132,9 +132,9 @@ def test_a_changed_net_structure_explores_afresh(change, monkeypatch):
 )
 def test_a_changed_pubsub_structure_explores_afresh(overrides, monkeypatch):
     calls = counting_explore(monkeypatch)
-    previous = monitor.solve_model(PubSubParams())[0]
+    monitor.solve_model(PubSubParams())
     params = PubSubParams(**overrides)
-    ctmc = monitor.solve_model(params, _previous=previous)[0]
+    ctmc = monitor.solve_model(params)[0]
     assert len(calls) == 2
     assert_same_chain(ctmc, explore(calls[1]))
 
@@ -143,10 +143,12 @@ def test_a_rate_change_reuses_the_chain(monkeypatch):
     calls = counting_explore(monkeypatch)
     previous = monitor.solve_model(PubSubParams())[0]
     params = PubSubParams(r_pub_qos=3.0)
-    ctmc, dist, report = monitor.solve_model(params, _previous=previous)
+    ctmc, dist, report = monitor.solve_model(params)
     assert len(calls) == 1
     assert ctmc.markings is previous.markings
+    monkeypatch.setattr(monitor, "rerate", lambda previous, net, max_states: None)
     fresh_ctmc, fresh_dist, fresh_report = monitor.solve_model(params)
+    assert len(calls) == 2
     assert (dist.probabilities == fresh_dist.probabilities).all()
     assert report == fresh_report
 
@@ -157,8 +159,9 @@ def test_a_bad_rate_on_the_reuse_path_is_invalid(rate):
     bad = with_rates(net, [rate, 1.0])
     with pytest.raises(InvalidNetError):
         rerate(explore(net), bad)
+    monitor.solve_model(net)
     with pytest.raises(InvalidNetError):
-        monitor.solve_model(bad, _previous=explore(net))
+        monitor.solve_model(bad)
 
 
 def test_max_states_holds_on_the_reuse_path():
@@ -169,8 +172,9 @@ def test_max_states_holds_on_the_reuse_path():
     with pytest.raises(StateExplosionError) as exc:
         rerate(previous, new, max_states=1259)
     assert exc.value.limit == 1259
+    monitor.solve_model(net)
     with pytest.raises(StateExplosionError):
-        monitor.solve_model(new, max_states=1259, _previous=previous)
+        monitor.solve_model(new, max_states=1259)
 
 
 def test_renamed_transitions_rerate():

@@ -203,7 +203,7 @@ def test_random_irreducible_chains_match_dense(net, block):
     q = generator_matrix(ctmc)
     expected = dense_gth(q)
     # the window clipping must hold for blocks narrower and wider than the band
-    pi, _iterations = solver._solve_direct(solver.generator(ctmc), solver.DEFAULT_TOL, block=block)
+    pi, _iterations = solver._solve_direct(solver.generator(ctmc), block=block)
     assert_componentwise(pi, expected)
     assert_componentwise(steady_state(ctmc, method="direct").probabilities, expected)
 
@@ -281,7 +281,7 @@ def test_cuthill_mckee_equals_scipys_from_the_same_start(net):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_distribution_is_refused(monkeypatch, bad):
-    def broken(q, tol):
+    def broken(q):
         pi = np.full(q.shape[0], 0.5)
         pi[0] = bad
         return pi, 0
@@ -401,7 +401,7 @@ def test_steep_mm1k_matches_log_space_closed_form(lam, mu, k):
     # steady_state's absolute residual would refuse rates this large, so
     # the solve is called directly
     ctmc = explore(mm1k_net(lam, mu, k))
-    pi, _iterations = solver._solve_direct(solver.generator(ctmc), solver.DEFAULT_TOL)
+    pi, _iterations = solver._solve_direct(solver.generator(ctmc))
     assert np.isfinite(pi).all()
     expected = np.exp(mm1k_log_pi(lam, mu, k))[ctmc.markings[:, 1]]
     normal = expected > 1e-300
@@ -439,7 +439,7 @@ def test_gauss_seidel_matches_the_per_sweep_triangular_solve(overrides, n_states
     assert ctmc.n_states == n_states > solver.DIRECT_STATE_LIMIT
     q = generator_matrix(ctmc)
     expected, sweeps = reference_gauss_seidel(q, solver.DEFAULT_TOL)
-    pi, iterations = solver._solve_gauss_seidel(solver.generator(ctmc), solver.DEFAULT_TOL)
+    pi, iterations = solver._solve_gauss_seidel(solver.generator(ctmc))
     assert iterations == sweeps
     assert_componentwise(pi, expected)
     dist = steady_state(ctmc)
