@@ -61,6 +61,7 @@ def cmd_analyze(args) -> int:
     doc = files.report_to_document(report)
     doc["states"] = ctmc.n_states
     doc["residual"] = dist.residual
+    doc["balance_residual"] = dist.balance_residual
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 

@@ -1,14 +1,26 @@
 """Stationary distribution of the embedded CTMC and derived metrics.
 
 The generator Q is stored as its off-diagonal rates, parallel edges
-summed, and its out-rates, which its diagonal holds negated.  Small chains
-are solved directly by GTH elimination inside the envelope of Q in reverse
-Cuthill-McKee order; larger chains fall back to Gauss-Seidel sweeps on
-pi*Q = 0 with renormalization.  A non-finite result is never returned.
+summed, and its out-rates, which its diagonal holds negated.  A solve is
+accepted on its balance residual max_j |(pi Q)_j| / (pi_j out_j), each
+state's net flow over its outflow, which no choice of time unit changes;
+a non-finite result is never returned.
 
-The direct solve eliminates 32 states at a time, each block over its
-envelope window: the states below it that reach into it, the only ones
-that fill can touch.  A block's own states are eliminated in a small
+Every chain is first given to Gauss-Seidel sweeps on pi Q = 0 with
+renormalization.  They stop once the balance residual, divided by one
+minus the rate at which it falls, is at most DEFAULT_TOL: that quotient
+estimates the relative error left in pi.  Gauss-Seidel runs each sweep's
+forward substitution level by level and reads the residual off the upper
+inflow the next sweep needs.  The sweeps get a budget of about what GTH
+elimination would cost, in numpy calls and flops, from the chain's
+structure alone; a chain they have not solved by then, such as a long
+birth-death chain, goes to GTH, if its dense n x n array fits
+DIRECT_MAX_BYTES.
+
+The direct solve runs GTH elimination inside the envelope of Q in reverse
+Cuthill-McKee order.  It eliminates 32 states at a time, each block over
+its envelope window: the states below it that reach into it, the only
+ones that fill can touch.  A block's own states are eliminated in a small
 array that stands in for the rest of the chain with two kinds of extra
 entries: one aggregate column, holding each block row's summed rates into
 the window, which is all a pivot needs of the window; and identity seeds,
@@ -18,18 +30,19 @@ Three matrix products then update the block's rows (T @ R0), its columns
 (C0 @ V) and the window (C @ R).  The small array is eliminated by the
 same scheme, 16 states at a time, and only that inner level goes state
 by state.  Back-substitution goes a block at a time through T, which is
-(I - N)^-1 for N the block's in-block coupling.  All of these entries,
-and every operation on them, are non-negative sums, products and
-quotients, so GTH's componentwise accuracy (O'Cinneide 1993) holds as it
-does one state at a time.
+(I - N)^-1 for N the block's in-block coupling.  Where pi changes by more
+than float64's range within a block, T would overflow, and that block goes
+state by state instead.  All of these entries, and every operation on
+them, are non-negative sums, products and quotients, so GTH's
+componentwise accuracy (O'Cinneide 1993) holds as it does one state at a
+time.
 
-Gauss-Seidel runs each sweep's forward substitution level by level and
-reads the sweep's residual off the upper inflow the next sweep needs.
 What depends only on the chain's structure -- Q's pattern, the
-irreducibility verdict, the RCM order with Q's layout and envelope
-windows, and the level plan in level order -- is derived once, with
-numpy alone, and kept in ``Ctmc.structure_memo``, so a solve does rate
-work only.
+irreducibility verdict, the level plan in level order, and the RCM order
+with Q's layout and envelope windows -- is derived once, with numpy
+alone, and kept in ``Ctmc.structure_memo``, so a solve does rate work
+only.  The RCM order and the windows are derived only for a chain that
+reaches GTH.
 """
 
 from __future__ import annotations
@@ -44,9 +57,21 @@ import numpy as np
 from .net import SpnError
 from .reachability import Ctmc
 
-DIRECT_STATE_LIMIT = 2000
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
+#: the balance residual skips states whose outflow pi_j out_j is at or below
+#: this, where pi has underflowed or is about to
+BALANCE_FLOOR = 1e-290
+#: the largest dense array ``auto``'s fallback to the direct solve may fill
+DIRECT_MAX_BYTES = 32 * 2**20
+
+# auto's cost model (``_budget``), in microseconds on one core, fitted to
+# solves of pub/sub, M/M/1/K and complete chains of 41 to 3,900 states with
+# one BLAS thread
+NUMPY_CALL_US = 0.7
+ENTRY_US = 0.005
+GTH_STATE_US = 16.0
+FLOP_US = 1.3e-4
 
 
 class ChainStructureError(SpnError):
@@ -54,23 +79,39 @@ class ChainStructureError(SpnError):
 
 
 class ConvergenceError(SpnError):
-    """A solve did not reach ``DEFAULT_TOL`` with a non-negative, finite result."""
+    """A solve did not reach ``DEFAULT_TOL`` with a non-negative, finite result.
 
-    def __init__(self, residual, iterations, method="iterative"):
+    ``residual`` is the balance residual of the refused result, NaN for a
+    negative or non-finite one; ``iterations`` counts the Gauss-Seidel
+    sweeps run.
+    """
+
+    def __init__(self, residual, iterations, method="iterative", note=""):
         self.residual = residual
         self.iterations = iterations
-        path = "the direct solve" if method == "direct" else f"{iterations} sweeps"
-        super().__init__(f"no convergence after {path} (residual {residual:.3e})")
+        paths = [f"{iterations} sweeps"] if iterations or method == "iterative" else []
+        if method == "direct":
+            paths.append("the direct solve")
+        super().__init__(
+            f"no convergence after {' and '.join(paths)}"
+            f" (balance residual {residual:.3e}){note}"
+        )
 
 
 @dataclass(frozen=True)
 class StationaryDistribution:
-    """Steady-state probabilities, one per CTMC state."""
+    """Steady-state probabilities, one per CTMC state.
+
+    ``residual`` is ``max|pi Q|`` and ``balance_residual`` its unit-free
+    counterpart, the one the solve was accepted on; ``method`` is the path
+    that gave pi, and ``iterations`` the Gauss-Seidel sweeps run.
+    """
 
     probabilities: np.ndarray
     residual: float
     method: str
     iterations: int = 0
+    balance_residual: float = 0.0
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=np.float64).copy()
@@ -203,12 +244,25 @@ def _check_structure(ctmc: Ctmc, q: Generator):
         )
 
 
-def _residual(pi: np.ndarray, q: Generator) -> float:
-    # (pi Q)_j is the inflow into j less its outflow pi_j out_j; bincount
-    # adds each column's entries in row order
+def _balance(net: np.ndarray, outflow: np.ndarray) -> float:
+    """max ``net_j / outflow_j`` over the states whose outflow exceeds
+    ``BALANCE_FLOOR``, where pi has not underflowed and is not about to;
+    infinite when no state is left."""
+    counted = outflow > BALANCE_FLOOR
+    return float((net[counted] / outflow[counted]).max()) if counted.any() else np.inf
+
+
+def _residuals(pi: np.ndarray, q: Generator) -> tuple[float, float]:
+    """``max|pi Q|`` and the balance residual ``max |(pi Q)_j| / (pi_j out_j)``.
+
+    (pi Q)_j is the inflow into j less its outflow pi_j out_j, so the
+    balance residual is unit-free: scaling every rate leaves it unchanged.
+    """
     p = q.pattern
-    inflow = np.bincount(p.col, pi[p.row] * q.val, minlength=p.n)
-    return float(np.abs(inflow - pi * q.out).max())
+    outflow = pi * q.out
+    # bincount adds each column's entries in row order
+    net = np.abs(np.bincount(p.col, pi[p.row] * q.val, minlength=p.n) - outflow)
+    return float(net.max()), _balance(net, outflow)
 
 
 def _reverse_cuthill_mckee(p: _Pattern) -> np.ndarray:
@@ -268,6 +322,16 @@ def _windows(p: _Pattern) -> np.ndarray:
     return np.searchsorted(np.maximum.accumulate(reach), np.arange(p.n))
 
 
+def _pivot(a: np.ndarray, lo: int, hi: int, w: int, s: int):
+    """GTH-eliminate states ``hi - 1`` down to ``lo`` in place, one at a
+    time, each over rows and columns ``[w, k)``; pivot k adds up
+    ``a[k, s:k]``."""
+    for k in range(hi - 1, lo - 1, -1):
+        col = a[w:k, k]
+        col /= a[k, s:k].sum()
+        a[w:k, w:k] += col[:, None] * a[k, w:k]
+
+
 def _eliminate(a: np.ndarray, first: int, sizes: tuple, start=None) -> list:
     """GTH-eliminate states ``a.shape[0] - 1`` down to ``first`` in place.
 
@@ -276,15 +340,15 @@ def _eliminate(a: np.ndarray, first: int, sizes: tuple, start=None) -> list:
     by one.  Otherwise they go in blocks of ``sizes[0]`` from the top, each
     over the window ``[start[lo], lo)`` below it (``[0, lo)`` when ``start``
     is None), and each block's own array is eliminated the same way with
-    ``sizes[1:]``.  Leaves a's strictly upper part as eliminating one state
-    at a time would, and returns each block's ``(lo, hi, T)``, from the top.
+    ``sizes[1:]``.  A block whose array holds an entry above 2**500, or a
+    non-finite one, goes one state at a time instead.  Leaves a's strictly
+    upper part as eliminating one state at a time would, and returns each
+    block's ``(lo, hi, T)``, from the top, with T None for a block that
+    went one state at a time.
     """
     n = a.shape[0]
     if not sizes:
-        for k in range(n - 1, first - 1, -1):
-            col = a[:k, k]
-            col /= a[k, first - 1 : k].sum()
-            a[:k, :k] += col[:, None] * a[k, :k]
+        _pivot(a, first, n, 0, first - 1)
         return []
     blocks = []
     bounds = [*range(n, first, -sizes[0]), first]
@@ -297,7 +361,16 @@ def _eliminate(a: np.ndarray, first: int, sizes: tuple, start=None) -> list:
         g[m + 1 :, :m] = np.eye(m)
         g[m + 1 :, m] = a[blk, max(w, first - 1) : lo].sum(axis=1)
         g[m + 1 :, m + 1 :] = a[blk, blk]
-        _eliminate(g, m + 1, sizes[1:])
+        # T and V overflow where pi changes by more than float64's range
+        # within the block; that is checked below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            _eliminate(g, m + 1, sizes[1:])
+        if not g.max() <= 2.0**500:
+            # one state at a time keeps every entry a rate or a ratio of
+            # rates, and the back-substitution rescales after every state
+            _pivot(a, lo, hi, w, max(w, first - 1))
+            blocks.append((lo, hi, None))
+            continue
         t, v = g[m + 1 :, :m], g[:m, m + 1 :]
         r = t @ a[blk, win]
         a[win, blk] = a[win, blk] @ v
@@ -310,18 +383,28 @@ def _eliminate(a: np.ndarray, first: int, sizes: tuple, start=None) -> list:
 
 def _back_substitute(a: np.ndarray, blocks: list, start: np.ndarray) -> np.ndarray:
     """Unnormalized pi from ``_eliminate``'s array and blocks, block by
-    block from state 0: ``x[lo:hi] = (x[w:lo] @ a[w:lo, lo:hi]) @ T``."""
+    block from state 0: ``x[lo:hi] = (x[w:lo] @ a[w:lo, lo:hi]) @ T``, or
+    ``x[k] = x[w:k] @ a[w:k, k]`` state by state where T is None."""
     x = np.empty(a.shape[0])
     x[0] = 1.0
     for lo, hi, t in reversed(blocks):
         w = start[lo]
-        x[lo:hi] = (x[w:lo] @ a[w:lo, lo:hi]) @ t
-        # x holds probability ratios, which grow by up to T's entries within
-        # a block: keep its largest entry below 1 by an exact power of two
-        top = x[lo:hi].max()
-        if top > 1.0:
-            x[:hi] = np.ldexp(x[:hi], -math.frexp(top)[1])
+        if t is None:
+            for k in range(lo, hi):
+                x[k] = x[w:k] @ a[w:k, k]
+                _rescale(x, k, k + 1)
+        else:
+            x[lo:hi] = (x[w:lo] @ a[w:lo, lo:hi]) @ t
+            _rescale(x, lo, hi)
     return x
+
+
+def _rescale(x: np.ndarray, lo: int, hi: int):
+    # x holds probability ratios, which grow by up to T's entries within a
+    # block: keep its largest entry below 1 by an exact power of two
+    top = x[lo:hi].max()
+    if top > 1.0:
+        x[:hi] = np.ldexp(x[:hi], -math.frexp(top)[1])
 
 
 def _solve_direct(q: Generator, block: int = 32) -> tuple[np.ndarray, int]:
@@ -406,7 +489,13 @@ def _level_plan(p: _Pattern) -> tuple:
     return order, levels, (upper, at[p.row[upper]], at[p.col[upper]])
 
 
-def _solve_gauss_seidel(q: Generator) -> tuple[np.ndarray, int]:
+def _solve_gauss_seidel(q: Generator, budget=None) -> tuple[np.ndarray, int, bool]:
+    """Gauss-Seidel sweeps from the uniform vector; returns the last iterate,
+    the sweeps run and whether they stopped on their rule.
+
+    ``budget`` yields how many sweeps may run in all, each value asked for
+    only once the sweeps before it have run; by default DEFAULT_MAX_ITER.
+    """
     # Each sweep solves (D + L) x' = -U x with Q^T = D + L + U, in the
     # chain's own state order: x'_i is the inflow into i, from the new x'
     # of lower-numbered states and the old x of higher-numbered ones, over
@@ -416,41 +505,95 @@ def _solve_gauss_seidel(q: Generator) -> tuple[np.ndarray, int]:
     #
     # By the sweep's own equations the lower terms of x' Q cancel:
     # (x' Q)_i = sum over upper entries q_ji (x'_j - x_j).  So with u(y) the
-    # upper inflow and y' = x' / total, the residual max|y' Q| is
-    # max|u(y') - u(y) / total|, and u(y') is what the next sweep starts from.
+    # upper inflow and y' = x' / total, (y' Q)_i is u(y')_i - u(y)_i / total,
+    # and u(y') is what the next sweep starts from.
+    #
+    # The stop: the balance residual b (``_balance``) falls by a rate r per
+    # sweep, and the relative error left in pi is about b / (1 - r), so the
+    # sweeps stop once that is at most DEFAULT_TOL, with r measured over the
+    # last two sweeps.  On a chain that mixes slowly, r is near 1, and a
+    # balance residual of DEFAULT_TOL alone would leave an error many times
+    # larger.
     order, levels, (upper, usrc, udst) = q.pattern.gs_plan
     n, out, uval = order.size, q.out[order], q.val[upper]
     levels = [(lo, hi, q.val[lower], src, local) for lo, hi, lower, src, local in levels]
     y = np.full(n, 1.0 / n)
     inflow = np.bincount(udst, uval * y[usrc], minlength=n)
-    for sweep in range(1, DEFAULT_MAX_ITER + 1):
-        for lo, hi, val, src, local in levels:
-            into = inflow[lo:hi]
-            if src.size:  # the first level needs no new values
-                into = into + np.bincount(local, val * y[src], minlength=hi - lo)
-            np.divide(into, out[lo:hi], out=y[lo:hi])
-        total = y.sum()
-        if total == 0.0:
-            raise ConvergenceError(np.inf, sweep)
-        y /= total
-        previous, inflow = inflow, np.bincount(udst, uval * y[usrc], minlength=n)
-        residual = float(np.abs(inflow - previous / total).max())
-        if residual <= DEFAULT_TOL:
-            pi = np.empty(n)
-            pi[order] = y
-            return pi, sweep
-    raise ConvergenceError(residual, DEFAULT_MAX_ITER)
+    sweep, stopped, older, old = 0, False, np.inf, np.inf
+    for limit in (DEFAULT_MAX_ITER,) if budget is None else budget:
+        while sweep < limit and not stopped:
+            sweep += 1
+            for lo, hi, val, src, local in levels:
+                into = inflow[lo:hi]
+                if src.size:  # the first level needs no new values
+                    into = into + np.bincount(local, val * y[src], minlength=hi - lo)
+                np.divide(into, out[lo:hi], out=y[lo:hi])
+            total = y.sum()
+            if total == 0.0:
+                return np.zeros(n), sweep, False  # every entry underflowed
+            y /= total
+            previous, inflow = inflow, np.bincount(udst, uval * y[usrc], minlength=n)
+            balance = _balance(np.abs(inflow - previous / total), y * out)
+            stopped = balance <= DEFAULT_TOL * (1.0 - math.sqrt(balance / older))
+            older, old = old, balance
+        if stopped:
+            break
+    pi = np.empty(n)
+    pi[order] = y
+    return pi, sweep, stopped
+
+
+def _budget(p: _Pattern):
+    """``auto``'s budget for Gauss-Seidel: about as many sweeps as the direct
+    solve would cost, estimated in microseconds from the structure alone.
+
+    A sweep makes five numpy calls per level and ten more, and works on
+    each of Q's entries.  The direct solve takes a step of its per-state
+    loop for each state, and two flops per window entry of each pivot's
+    update.  Yields the sweeps that the per-state steps alone would cost, a
+    lower bound, and then those that all of it would: the envelope windows
+    that price the flops, which the direct solve needs anyway, are derived
+    only for a chain that Gauss-Seidel has not solved within the first.
+    """
+    sweep = NUMPY_CALL_US * (5 * len(p.gs_plan[1]) + 10) + ENTRY_US * p.row.size
+    steps = GTH_STATE_US * p.n
+    yield int(steps / sweep)
+    width = np.arange(p.n) - p.windows
+    yield int((steps + FLOP_US * 2.0 * float(width @ width)) / sweep)
+
+
+def _solve_auto(q: Generator) -> tuple[np.ndarray, int, str]:
+    """Gauss-Seidel within ``_budget``, then the direct solve; returns pi,
+    the sweeps run and the path that gave pi.
+
+    The direct solve runs only if its dense n x n array fits
+    ``DIRECT_MAX_BYTES``; otherwise Gauss-Seidel gets DEFAULT_MAX_ITER
+    sweeps, and a refusal names both paths.  The budget depends only on the
+    chain's structure, so the same chain always takes the same path.
+    """
+    dense = 8 * q.pattern.n**2
+    fits = dense <= DIRECT_MAX_BYTES
+    pi, sweeps, stopped = _solve_gauss_seidel(q, _budget(q.pattern) if fits else None)
+    if stopped:
+        return pi, sweeps, "iterative"
+    if fits:
+        return _solve_direct(q)[0], sweeps, "direct"
+    raise ConvergenceError(
+        _residuals(pi, q)[1], sweeps, "iterative",
+        f"; the direct solve needs {dense / 2**20:.0f} MiB,"
+        f" over its {DIRECT_MAX_BYTES / 2**20:.0f} MiB limit",
+    )
 
 
 def steady_state(ctmc: Ctmc, method: str = "auto") -> StationaryDistribution:
     """Solve pi Q = 0, sum(pi) = 1 for an irreducible chain.
 
-    ``auto``, the only selection the pipeline makes, uses direct
-    elimination up to ``DIRECT_STATE_LIMIT`` states and Gauss-Seidel
-    beyond; tests force ``direct`` or ``iterative`` to compare the two.
-    Gauss-Seidel gives up after ``DEFAULT_MAX_ITER`` sweeps.  Either path's
-    result is refused unless it is non-negative and finite with residual
-    ``max|pi Q| <= DEFAULT_TOL``, the one tolerance.
+    ``auto``, the only selection the pipeline makes, runs Gauss-Seidel
+    first and falls back to direct elimination (``_solve_auto``); tests
+    force ``direct`` or ``iterative`` to compare the two.  Either path's
+    result is refused unless it is non-negative and finite with balance
+    residual ``max |(pi Q)_j| / (pi_j out_j) <= DEFAULT_TOL``, the one
+    tolerance (``_residuals``).
     """
     if ctmc.n_states == 0:
         raise ValueError("empty chain")
@@ -462,22 +605,25 @@ def steady_state(ctmc: Ctmc, method: str = "auto") -> StationaryDistribution:
     if ctmc.n_states == 1:
         return StationaryDistribution(np.array([1.0]), 0.0, "direct")
 
-    if method == "auto":
-        method = "direct" if ctmc.n_states <= DIRECT_STATE_LIMIT else "iterative"
     if method == "direct":
-        pi, iters = _solve_direct(q)
+        pi, iters = _solve_direct(q)[0], 0
+    elif method == "iterative":
+        pi, iters, stopped = _solve_gauss_seidel(q)
+        if not stopped:
+            raise ConvergenceError(_residuals(pi, q)[1], iters)
     else:
-        pi, iters = _solve_gauss_seidel(q)
+        pi, iters, method = _solve_auto(q)
 
     # both paths only add, multiply and divide non-negative numbers, so a
     # negative entry is a fault, refused before normalizing could flip it
-    if (pi < 0).any():
-        raise ConvergenceError(_residual(pi, q), iters, method)
-    pi = pi / pi.sum()
-    res = _residual(pi, q)
-    if not res <= DEFAULT_TOL:  # also refuses a NaN residual or probability
-        raise ConvergenceError(res, iters, method)
-    return StationaryDistribution(pi, res, method, iters)
+    total = pi.sum()
+    if not (np.isfinite(pi).all() and (pi >= 0).all() and 0.0 < total < np.inf):
+        raise ConvergenceError(np.nan, iters, method)
+    pi = pi / total
+    residual, balance = _residuals(pi, q)
+    if not balance <= DEFAULT_TOL:
+        raise ConvergenceError(balance, iters, method)
+    return StationaryDistribution(pi, residual, method, iters, balance)
 
 
 def _check_dist(ctmc: Ctmc, dist: StationaryDistribution):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,8 +10,11 @@ import pytest
 
 from spnperf import files, solver
 from spnperf.cli import SWEEP_HEADER, main
+from spnperf.monitor import solve_model
 from spnperf.pubsub import PubSubParams, build_pubsub_net
+from spnperf.reachability import DEFAULT_MAX_STATES
 from nets import mm1k_net, producer_consumer_net, simple_net
+from test_solver_oracle import GS_RTOL, assert_componentwise
 
 
 @pytest.fixture
@@ -126,6 +130,46 @@ def test_analyze_params_file(params_file, capsys):
     assert doc["response_times"]["accept_publication_response_time"] > 0
     assert doc["response_times"]["notification_response_time"] > 0
     assert doc["states"] == 1260
+
+
+def test_analyze_adds_the_balance_residual_and_keeps_every_old_key(params_file, capsys):
+    code, out, _ = run_cli(capsys, "analyze", params_file)
+    assert code == 0
+    ctmc, dist, report = solve_model(PubSubParams(), DEFAULT_MAX_STATES)
+    old = files.report_to_document(report)
+    old["states"] = ctmc.n_states
+    old["residual"] = dist.residual
+    # the new key's line is the only change: without it, the output is the
+    # document analyze printed before the key existed, byte for byte
+    new = [line for line in out.splitlines() if line.startswith('  "balance_residual": ')]
+    assert len(new) == 1
+    assert out.replace(new[0] + "\n", "") == json.dumps(old, indent=2, sort_keys=True) + "\n"
+    doc = json.loads(out)
+    assert doc["balance_residual"] == dist.balance_residual <= solver.DEFAULT_TOL
+    # residual stays max|pi Q|, the absolute one
+    assert doc["residual"] == solver._residuals(dist.probabilities, solver.generator(ctmc))[0]
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e-4])
+def test_analyze_does_not_depend_on_the_time_unit(tmp_path, params_file, capsys, scale):
+    # every rate times 1e4 or 1e-4 is the same model in another time unit:
+    # analyze must accept it, with the same pi and response times over scale
+    base = PubSubParams()
+    rates = {f.name: getattr(base, f.name) * scale
+             for f in dataclasses.fields(base) if f.name.startswith("r_")}
+    assert len(rates) == 12
+    scaled = dataclasses.replace(base, **rates)
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(files.params_to_document(scaled)))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 0, err
+    code, unscaled, _ = run_cli(capsys, "analyze", params_file)
+    assert code == 0
+    times, expected = json.loads(out)["response_times"], json.loads(unscaled)["response_times"]
+    for name, value in expected.items():
+        assert times[name] * scale == pytest.approx(value, rel=GS_RTOL)
+    pi = solve_model(scaled, DEFAULT_MAX_STATES)[1].probabilities
+    assert_componentwise(pi, solve_model(base, DEFAULT_MAX_STATES)[1].probabilities, GS_RTOL)
 
 
 def test_analyze_net_file(tmp_path, capsys):

@@ -210,6 +210,6 @@ def test_gauss_seidel_gives_up_after_the_sweep_budget(monkeypatch):
 def test_a_refused_solve_names_its_path(monkeypatch, method, target, message):
     from spnperf import solver
 
-    monkeypatch.setattr(solver, target, lambda q: (np.full(q.shape[0], np.nan), 7))
+    monkeypatch.setattr(solver, target, lambda q: (np.full(q.shape[0], np.nan), 7, True))
     with pytest.raises(solver.ConvergenceError, match=message):
         steady_state(explore(mm1k_net(1.0, 2.0, 3)), method=method)

@@ -23,6 +23,7 @@ The oracles build Q with scipy themselves (``generator_matrix``).
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -152,7 +153,11 @@ def test_stiff_mm1k_tail_matches_log_space_closed_form(lam, mu):
     # chain's own order.
     ctmc = explore(mm1k_net(lam, mu, 1900))
     dist = steady_state(ctmc)
+    # Gauss-Seidel would need some 18,400 sweeps; auto gives up on it after
+    # the budget of sweeps that cost what the direct solve does
+    *_, budget = solver._budget(solver.generator(ctmc).pattern)
     assert dist.method == "direct"
+    assert dist.iterations <= budget
     pi = dist.probabilities
     assert np.isfinite(pi).all()
     expected = np.exp(mm1k_log_pi(lam, mu, 1900))[ctmc.markings[:, 1]]
@@ -211,15 +216,24 @@ def test_random_irreducible_chains_match_dense(net, block):
 # -- the residual against a dense pi Q ----------------------------------------
 
 def assert_residual_matches_dense(ctmc):
-    """``_residual`` against max|pi Q| with dense Q, for the solved pi and a
-    random positive vector, to 1e-15 of the largest outflow pi_j out_j."""
+    """``_residuals`` against max|pi Q| with dense Q, for the solved pi and a
+    random positive vector, to 1e-15 of the largest outflow pi_j out_j; and
+    the balance residual against max |(pi Q)_j| / (pi_j out_j) over the
+    states above the floor, to 1e-15 of the largest gross flow
+    (pi |Q|)_j / (pi_j out_j), the scale of each state's rounding."""
     q = solver.generator(ctmc)
     dense = generator_matrix(ctmc).toarray()
     out = -np.diag(dense)
     rng = np.random.default_rng(0)
     for pi in (steady_state(ctmc).probabilities, rng.uniform(0.1, 1.0, ctmc.n_states)):
-        expected = np.abs(pi @ dense).max()
-        assert abs(solver._residual(pi, q) - expected) <= 1e-15 * (pi * out).max()
+        flow = pi * out
+        counted = flow > solver.BALANCE_FLOOR
+        expected = np.abs(pi @ dense)
+        balance = (expected[counted] / flow[counted]).max()
+        gross = (pi @ np.abs(dense))[counted] / flow[counted]
+        residual, got = solver._residuals(pi, q)
+        assert abs(residual - expected.max()) <= 1e-15 * flow.max()
+        assert abs(got - balance) <= 1e-15 * gross.max()
 
 
 @pytest.mark.parametrize(
@@ -314,7 +328,7 @@ def test_complete_chain_with_band_equal_to_and_above_the_block_matches_dense(n, 
 def test_monitor_trace_chain_at_3900_states_forced_direct_matches_dense():
     # the largest monitor-trace structure, with rates jittered by up to 2%
     # as the benchmark's monitor-trace workload draws them; auto would take
-    # Gauss-Seidel here
+    # Gauss-Seidel alone here
     overrides, n_states = PUBSUB_CONFIGS[-1]
     rng = np.random.default_rng(3900)
     base = PubSubParams()
@@ -324,7 +338,8 @@ def test_monitor_trace_chain_at_3900_states_forced_direct_matches_dense():
         if f.name.startswith("r_")
     }
     ctmc = explore(build_pubsub_net(PubSubParams(**overrides, **rates)))
-    assert ctmc.n_states == n_states > solver.DIRECT_STATE_LIMIT
+    assert ctmc.n_states == n_states
+    assert 8 * n_states**2 > solver.DIRECT_MAX_BYTES  # auto has no fallback here
     assert_matches_dense(ctmc)
 
 
@@ -393,15 +408,20 @@ def test_block_back_substitution_matches_the_per_state_one(overrides, n_states):
 
 @pytest.mark.parametrize(
     "lam, mu, k",
-    [(1e4, 1.0, 70), (1.0, 1e4, 70), (1e8, 1.0, 35), (1.0, 1e8, 35), (1e8, 1.0, 70), (1.0, 1e8, 70)],
+    [
+        (1e4, 1.0, 70), (1.0, 1e4, 70), (1e8, 1.0, 35), (1.0, 1e8, 35), (1e8, 1.0, 70),
+        (1.0, 1e8, 70), (1.0, 1e10, 40), (1.0, 1e12, 40),
+    ],
 )
 def test_steep_mm1k_matches_log_space_closed_form(lam, mu, k):
     # pi falls or grows by up to 1e256 within one block, so each block must
     # start from rescaled ratios; at K = 70 with 1e8 the tail underflows.
-    # steady_state's absolute residual would refuse rates this large, so
-    # the solve is called directly
+    # With 1e10 and 1e12 pi grows past float64's range within one block, so
+    # T would overflow: those blocks go one state at a time, without a warning
     ctmc = explore(mm1k_net(lam, mu, k))
-    pi, _iterations = solver._solve_direct(solver.generator(ctmc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pi = steady_state(ctmc, method="direct").probabilities
     assert np.isfinite(pi).all()
     expected = np.exp(mm1k_log_pi(lam, mu, k))[ctmc.markings[:, 1]]
     normal = expected > 1e-300
@@ -409,22 +429,77 @@ def test_steep_mm1k_matches_log_space_closed_form(lam, mu, k):
     assert np.abs(pi[~normal] - expected[~normal]).max(initial=0.0) <= 1e-300
 
 
+# -- balance-stopped Gauss-Seidel against GTH ----------------------------------
+
+# Gauss-Seidel stops once its balance residual b, over the rate 1 - r at
+# which b falls, is at most DEFAULT_TOL = 1e-12: b / (1 - r) estimates the
+# relative error left in pi.  The estimate rests on r measured over two
+# sweeps, so the bound is measured: at most 2.1e-12 on the chains below
+# (M/M/1/40 at rho = 0.1) and 1.4e-12 on 150 random chains; 8.2e-12 on 300
+# random chains with 20,000 sweeps allowed, where some needed 17,000.  A
+# balance residual of 1e-12 alone left 3.4e-9 on one of those.  States whose
+# outflow is at or below BALANCE_FLOOR are outside the stop rule, and so
+# outside the comparison.
+GS_RTOL = 1e-11
+
+
+def assert_matches_gth_where_balanced(ctmc, pi):
+    expected = steady_state(ctmc, method="direct").probabilities
+    covered = expected * solver.generator(ctmc).out > solver.BALANCE_FLOOR
+    assert_componentwise(pi[covered], expected[covered], GS_RTOL)
+
+
+@pytest.mark.parametrize(
+    "net",
+    [build_pubsub_net(PubSubParams(**overrides)) for overrides, _n in PUBSUB_CONFIGS]
+    + [mm1k_net(0.1, 1.0, 40), mm1k_net(0.1, 1.0, 300)]
+    + [mm1k_net(lam, mu, k) for lam, mu, k in
+       [(1e4, 1.0, 70), (1.0, 1e4, 70), (1e8, 1.0, 35), (1.0, 1e8, 35)]],
+    ids=[f"pubsub-{n}" for _o, n in PUBSUB_CONFIGS]
+    + ["mm1k-40", "mm1k-300", "1e4-1-70", "1-1e4-70", "1e8-1-35", "1-1e8-35"],
+)
+def test_balance_stopped_gauss_seidel_matches_gth(net):
+    ctmc = explore(net)
+    dist = steady_state(ctmc, method="iterative")
+    assert dist.balance_residual <= solver.DEFAULT_TOL
+    assert_matches_gth_where_balanced(ctmc, dist.probabilities)
+
+
+@settings(max_examples=150, deadline=None)
+@given(irreducible_chains())
+def test_balance_stopped_gauss_seidel_matches_gth_on_random_chains(net):
+    # with rates over eight orders of magnitude about one chain in ten mixes
+    # so slowly that Gauss-Seidel has not stopped after 1,000 sweeps; it has
+    # nothing to compare then, and auto gives such small chains to GTH
+    ctmc = explore(net)
+    pi, _sweeps, stopped = solver._solve_gauss_seidel(solver.generator(ctmc), (1000,))
+    if stopped:
+        assert_matches_gth_where_balanced(ctmc, pi / pi.sum())
+
+
 # -- Gauss-Seidel against a sweep loop that re-solves its triangle ------------
 
 def reference_gauss_seidel(q, tol):
     """Gauss-Seidel as the solver first ran it: each sweep solves the lower
-    triangle of Q^T afresh and tests the residual on pi Q."""
+    triangle of Q^T afresh.  It stops on the balance residual b of pi Q once
+    b / (1 - r) <= tol, with r = (b / b two sweeps before)^(1/2)."""
     n = q.shape[0]
+    out = -q.diagonal()
     a = scipy.sparse.csr_matrix(q.T)
     lower = scipy.sparse.tril(a, k=0, format="csr")
     upper = scipy.sparse.triu(a, k=1, format="csr")
     x = np.full(n, 1.0 / n)
+    history = [np.inf, np.inf]
     for sweep in range(1, solver.DEFAULT_MAX_ITER + 1):
         rhs = -(upper @ x)
         x = scipy.sparse.linalg.spsolve_triangular(lower, rhs, lower=True)
         x = x / x.sum()
-        if np.abs(x @ q).max() <= tol:
+        flow = x * out
+        counted = flow > solver.BALANCE_FLOOR
+        b = (np.abs(x @ q)[counted] / flow[counted]).max()
+        if b <= tol * (1.0 - np.sqrt(b / history[-2])):
             return x, sweep
+        history.append(b)
     raise AssertionError("the reference did not converge")
 
 
@@ -434,13 +509,15 @@ def reference_gauss_seidel(q, tol):
     + [({"broker_memory": 8, "n_events": 6, "net_recv_buffer": 4, "net_send_buffer": 4}, 10200)],
 )
 def test_gauss_seidel_matches_the_per_sweep_triangular_solve(overrides, n_states):
-    # the three monitor-trace chains above DIRECT_STATE_LIMIT, and a larger one
+    # the three monitor-trace chains too large for auto's direct fallback,
+    # and a larger one
     ctmc = explore(build_pubsub_net(PubSubParams(**overrides)))
-    assert ctmc.n_states == n_states > solver.DIRECT_STATE_LIMIT
+    assert ctmc.n_states == n_states
+    assert 8 * n_states**2 > solver.DIRECT_MAX_BYTES
     q = generator_matrix(ctmc)
     expected, sweeps = reference_gauss_seidel(q, solver.DEFAULT_TOL)
-    pi, iterations = solver._solve_gauss_seidel(solver.generator(ctmc))
-    assert iterations == sweeps
+    pi, iterations, stopped = solver._solve_gauss_seidel(solver.generator(ctmc))
+    assert stopped and iterations == sweeps
     assert_componentwise(pi, expected)
     dist = steady_state(ctmc)
     assert (dist.method, dist.iterations) == ("iterative", sweeps)
