@@ -4,16 +4,32 @@ At every marking the enabled transitions race with freshly sampled
 exponential delays (memoryless, so equivalent to next-reaction scheduling);
 the minimum-delay transition fires.  Randomness comes from numpy's PCG64
 generator seeded per run, so a (net, horizon, warmup, seed) quadruple fully
-determines the output on any platform.
+determines the output on any platform; the seed is an integer from 0 to
+2**63 - 1.
 
 Each run draws standard exponentials in blocks of ``DRAW_BLOCK`` and scales
 them by the racing transitions' mean delays 1/rate.  numpy's
 ``exponential(scale)`` is ``scale * standard_exponential()`` over the same
 stream, so every delay equals the one a per-event ``rng.exponential(scales)``
-would give; the draws left over when a run ends are never used.  The event
-loop itself does only Python float arithmetic: the firing kernel is asked
-once per visited marking, and its answer is kept in a marking cache that
-all replications of one ``estimate_metrics`` call share.
+would give; the draws left over when a run ends are never used.
+
+The event loop hashes no marking.  A ``_MarkingTable``, which all
+replications of one ``estimate_metrics`` call share, gives each marking a
+row id and an entry: its row, its enabled transitions, their scales and
+links to its successors' entries.  The links are resolved on the entry's
+first visit, and the successors that are new to the table are asked of the
+firing kernel as one block.  An event only races the scales, records its
+row, its time and the transition that fired, and follows a link.
+
+Token time and firing counts are reduced once per draw block, over the
+events recorded since the last one.  Event i's span is
+``clip(min(t_i, horizon) - max(t_{i-1}, warmup), 0)``; the rows of marking
+times span are summed down the event axis by ``np.add.accumulate`` with
+the running totals as the first row.  That is a strictly sequential sum per
+place in event order, and an empty place or a span outside the window adds
+``x * 0.0 = 0.0``, which changes no sum: every total equals the one a loop
+adding ``x * span`` per marked place would give.  Counts are a
+``bincount`` of the transitions fired in (warmup, horizon].
 """
 
 from __future__ import annotations
@@ -49,25 +65,114 @@ class SimulationEstimate:
 
 #: standard exponentials drawn at a time by each run
 DRAW_BLOCK = 4096
-#: entries a marking cache holds (about 2.3 kB each for the 18-place pub/sub
-#: net); markings found once it is full are computed at every visit
+#: markings a marking table holds (about 0.9 kB each, row buffer included,
+#: for the 18-place pub/sub net); markings found once it is full are
+#: computed at every visit
 MARKING_CACHE_LIMIT = 10_000
 
 
-def _event_entry(net: SpnNet, m, cache):
-    # what the event loop needs of marking m, which the cache lacks, asked of
-    # the firing kernel: the enabled transitions, their mean delays (1/rate)
-    # as floats, the successor of each and the marked places as (place,
-    # tokens) pairs; stored while the cache has room (caching changes no result)
-    arr = np.array(m, dtype=np.int64)
-    enabled, rates = enabled_rates(net, arr[None, :])
-    ts = np.flatnonzero(enabled[0])
-    successors = [tuple(row) for row in (arr + net.delta[ts]).tolist()]
-    marked = [(p, x) for p, x in enumerate(m) if x]
-    entry = (tuple(ts.tolist()), (1.0 / rates[0, ts]).tolist(), successors, marked)
-    if len(cache) < MARKING_CACHE_LIMIT:
-        cache[m] = entry
-    return entry
+def _check_seed(name: str, seed) -> None:
+    if not (is_count(seed) and seed >= 0):
+        raise ValueError(f"{name} must be an integer from 0 to 2**63 - 1, got {seed!r}")
+
+
+def _event_entries(net: SpnNet, markings) -> list:
+    """The enabled transitions (a tuple) and their mean delays 1/rate (a
+    list of floats) of each marking in ``markings``, from one kernel call."""
+    block = np.array(markings, dtype=np.int64).reshape(len(markings), net.n_places)
+    enabled, rates = enabled_rates(net, block)
+    out = []
+    for on, r in zip(enabled, rates):
+        ts = np.flatnonzero(on)
+        out.append((tuple(ts.tolist()), (1.0 / r[ts]).tolist()))
+    return out
+
+
+def _successors(net: SpnNet, m, enabled) -> list:
+    """The marking each transition of ``enabled`` leads to from ``m``, as tuples."""
+    return list(map(tuple, (net.delta[list(enabled)] + m).tolist()))
+
+
+class _MarkingTable:
+    """Markings -> entries ``[row, enabled, scales, links]``, shared by the
+    replications of one ``estimate_metrics`` call.
+
+    ``row`` indexes ``marks``, the markings as int64 rows.  ``links`` is
+    None until the entry's first visit, then the successors' entries in
+    ``enabled`` order.  At most ``MARKING_CACHE_LIMIT`` markings are
+    entered; a successor found once the table is full is linked as a stub
+    ``[marking, None, None, None]``, and each visit to a stub makes a
+    run-local entry whose row lies past the table's own.  No entered entry
+    links to a run-local one, so the table stays at its cap.
+    """
+
+    __slots__ = ("net", "entries", "marks", "local")
+
+    def __init__(self, net: SpnNet):
+        self.net = net
+        self.entries = {}
+        self.marks = np.empty((64, net.n_places), dtype=np.int64)
+        self.local = 0  # run-local rows in use since the last reduction
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def _store(self, row: int, m) -> None:
+        if row >= len(self.marks):
+            grown = np.empty((max(2 * len(self.marks), row + 1), self.net.n_places), np.int64)
+            grown[: len(self.marks)] = self.marks
+            self.marks = grown
+        self.marks[row] = m
+
+    def enter(self, markings) -> list:
+        """Entries for markings the table lacks: entered while it has room,
+        from one kernel call, and stubs past its cap."""
+        room = max(MARKING_CACHE_LIMIT - len(self.entries), 0)
+        fit = markings[:room]
+        out = []
+        for m, (enabled, scales) in zip(fit, _event_entries(self.net, fit) if fit else ()):
+            row = len(self.entries)
+            self._store(row, m)
+            entry = self.entries[m] = [row, enabled, scales, None]
+            out.append(entry)
+        return out + [[m, None, None, None] for m in markings[room:]]
+
+    def visit(self, entry: list) -> list:
+        """``entry`` with its links resolved: an entered entry is resolved in
+        place, once; a stub gives a new run-local entry."""
+        get = self.entries.get
+        if entry[1] is None:
+            m = entry[0]
+            ((enabled, scales),) = _event_entries(self.net, [m])
+            row = len(self.entries) + self.local
+            self.local += 1
+            self._store(row, m)
+            links = [get(s) or [s, None, None, None] for s in _successors(self.net, m, enabled)]
+            return [row, enabled, scales, links]
+        successors = _successors(self.net, self.marks[entry[0]], entry[1])
+        new = [m for m in dict.fromkeys(successors) if m not in self.entries]
+        found = dict(zip(new, self.enter(new)))
+        entry[3] = [get(m) or found[m] for m in successors]
+        return entry
+
+
+def _reduce(marks, rows, times, fired, start, warmup, horizon, token_time, counts):
+    """Add the recorded events' token time and in-window firings; the
+    first event's sojourn began at ``start``.  Returns the new token time."""
+    n = len(times)
+    t1 = np.fromiter(times, float, n)
+    t0 = np.empty(n)
+    t0[0] = start
+    t0[1:] = t1[:-1]
+    span = np.minimum(t1, horizon) - np.maximum(t0, warmup)
+    np.maximum(span, 0.0, out=span)
+    acc = np.empty((n + 1, token_time.size))
+    acc[0] = token_time
+    np.multiply(marks[np.fromiter(rows, np.intp, n)], span[:, None], out=acc[1:])
+    np.add.accumulate(acc, axis=0, out=acc)
+    inside = (t1 > warmup) & (t1 <= horizon)
+    counts += np.bincount(np.fromiter(fired, np.intp, n)[inside], minlength=counts.size)
+    return acc[-1]
 
 
 def simulate_run(
@@ -76,14 +181,15 @@ def simulate_run(
     warmup: float | None = None,
     seed: int = 0,
     *,
-    _cache: dict | None = None,
+    _cache: _MarkingTable | None = None,
 ) -> RunResult:
     """Simulate one trajectory over [0, horizon].
 
     Statistics (firing counts and time-weighted token averages) cover the
     window (warmup, horizon].  ``warmup`` defaults to 10% of the horizon.
-    A deadlock freezes the marking for the remaining time.  ``_cache`` is
-    the marking cache ``estimate_metrics`` shares between its replications.
+    ``seed`` is an integer from 0 to 2**63 - 1.  A deadlock freezes the
+    marking for the remaining time.  ``_cache`` is the marking table
+    ``estimate_metrics`` shares between its replications.
     """
     violations = validate_net(net)
     if violations:
@@ -94,58 +200,75 @@ def simulate_run(
         warmup = 0.1 * horizon
     if not (0 <= warmup < horizon):
         raise ValueError("warmup must satisfy 0 <= warmup < horizon")
+    _check_seed("seed", seed)
 
     rng = np.random.default_rng(seed)
-    cache = {} if _cache is None else _cache
-    get = cache.get
+    table = _MarkingTable(net) if _cache is None else _cache
     m = net.initial_marking()
-    now = 0.0
-    counts = [0] * net.n_transitions
-    token_time = [0.0] * net.n_places
+    entry = table.entries.get(m) or table.enter([m])[0]
+    n_max = net.n_transitions
+    token_time = np.zeros(net.n_places)
+    counts = np.zeros(n_max, dtype=np.int64)
+    rows, times, fired = [], [], []
+    add_row, add_time, add_fired = rows.append, times.append, fired.append
+    start = now = 0.0
     draws = []
     pos = 0
+    last = -1  # refill once pos > last, i.e. fewer than n_max draws are left
+    deadlocked = False
 
-    while now < horizon:
-        entry = get(m)
-        if entry is None:
-            entry = _event_entry(net, m, cache)
-        enabled, scales, successors, marked = entry
+    while True:
+        if pos > last:
+            # reduce the events so far, then draw; before the entry is
+            # visited, so no run-local row is reused while still recorded
+            if times:
+                token_time = _reduce(
+                    table.marks, rows, times, fired, start, warmup, horizon, token_time, counts
+                )
+                start = times[-1]
+                rows.clear()
+                times.clear()
+                fired.clear()
+            table.local = 0
+            draws = draws[pos:]
+            pos = 0
+            while len(draws) < n_max:
+                draws += rng.standard_exponential(DRAW_BLOCK).tolist()
+            last = len(draws) - n_max
+        row, enabled, scales, links = entry
+        if links is None:
+            entry = table.visit(entry)
+            row, enabled, scales, links = entry
         n = len(scales)
-        # a deadlocked marking's next event is at +inf: it holds to the horizon
-        deadlocked = not n
-        if deadlocked:
-            nxt = math.inf
-        else:
-            if pos + n > len(draws):
-                draws = draws[pos:] + rng.standard_exponential(DRAW_BLOCK).tolist()
-                pos = 0
-            # the first minimum wins, as argmin picks it
-            k = 0
-            delay = draws[pos] * scales[0]
-            for i in range(1, n):
-                d = draws[pos + i] * scales[i]
-                if d < delay:
-                    k = i
-                    delay = d
-            pos += n
-            nxt = now + delay
-        # min and max, as conditional expressions (cheaper than the calls)
-        span = (nxt if nxt < horizon else horizon) - (now if now > warmup else warmup)
-        if span > 0:
-            # an empty place would add 0 * span, which changes no sum
-            for p, x in marked:
-                token_time[p] += x * span
-        if nxt > horizon:
+        if not n:
+            # a deadlocked marking's next event is at +inf: it holds to the horizon
+            deadlocked = True
+            add_row(row)
+            add_time(math.inf)
+            add_fired(0)  # never counted: +inf lies past the horizon
             break
-        if nxt > warmup:
-            counts[enabled[k]] += 1
-        m = successors[k]
-        now = nxt
+        # the first minimum wins, as argmin picks it
+        k = 0
+        delay = draws[pos] * scales[0]
+        for i in range(1, n):
+            d = draws[pos + i] * scales[i]
+            if d < delay:
+                k = i
+                delay = d
+        pos += n
+        now += delay
+        add_row(row)
+        add_time(now)
+        add_fired(enabled[k])
+        if now >= horizon:
+            break
+        entry = links[k]
 
+    token_time = _reduce(table.marks, rows, times, fired, start, warmup, horizon, token_time, counts)
     window = horizon - warmup
     return RunResult(
-        firing_counts={t.name: c for t, c in zip(net.transitions, counts)},
-        mean_tokens={p.name: x / window for p, x in zip(net.places, token_time)},
+        firing_counts=dict(zip((t.name for t in net.transitions), counts.tolist())),
+        mean_tokens=dict(zip((p.name for p in net.places), (token_time / window).tolist())),
         observed_time=window,
         deadlocked=deadlocked,
     )
@@ -261,16 +384,19 @@ def estimate_metrics(
     replications: int = 30,
     base_seed: int = 0,
 ) -> SimulationEstimate:
-    """Independent replications with seeds base_seed .. base_seed+n-1,
-    estimating every ``default_metrics`` entry.
+    """Independent replications with seeds base_seed .. base_seed+n-1
+    (integers from 0 to 2**63 - 1), estimating every ``default_metrics`` entry.
 
     Half-widths use the Student-t 97.5% quantile with ``replications - 1``
     degrees of freedom.
     """
     if not (is_count(replications) and replications >= 2):
         raise ValueError(f"replications must be an integer >= 2, got {replications!r}")
+    _check_seed("base_seed", base_seed)
+    # the last replication's seed, refused before any replication runs
+    _check_seed("base_seed + replications - 1", base_seed + replications - 1)
 
-    cache = {}
+    cache = _MarkingTable(net)
     runs = [
         simulate_run(net, horizon, warmup, seed=base_seed + i, _cache=cache)
         for i in range(replications)

@@ -284,6 +284,12 @@ def test_simulate_single_replication_exits_2(params_file, capsys):
     assert code == 2
 
 
+def test_simulate_negative_seed_exits_2(params_file, capsys):
+    code, out, err = run_cli(capsys, "simulate", params_file, "--horizon", "100", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "base_seed must be an integer from 0 to 2**63 - 1, got -1" in err
+
+
 # -- option validation --------------------------------------------------
 
 def parse_error(capsys, *argv):

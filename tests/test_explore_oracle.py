@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from spnperf.net import INFINITE_SERVER, SINGLE_SERVER, Place, SpnNet, Transition
 from spnperf.pubsub import PubSubParams, build_pubsub_net
 from spnperf.reachability import StateExplosionError, explore
-from spnperf.simulator import _event_entry
+from spnperf.simulator import _event_entries, _successors
 from nets import (
     deadlock_net,
     mm1k_net,
@@ -290,7 +290,8 @@ def test_simulator_marking_info_matches_oracle(net):
     # stream, so both must equal the scalar logic's exactly
     states, _edges, _deadlocks = oracle_explore(net)
     for m in states:
-        enabled, scales, successors, marked = _event_entry(net, m, {})
+        [(enabled, scales)] = _event_entries(net, [m])
+        successors = _successors(net, m, enabled)
         expected = _scalar_enabled(net, m)
         assert enabled == tuple(expected)
         assert scales == [1.0 / _scalar_rate(net, m, t) for t in expected]
@@ -298,4 +299,3 @@ def test_simulator_marking_info_matches_oracle(net):
             tuple(a + int(net.post[p, t]) - int(net.pre[p, t]) for p, a in enumerate(m))
             for t in expected
         ]
-        assert marked == [(p, a) for p, a in enumerate(m) if a]

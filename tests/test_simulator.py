@@ -10,6 +10,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from spnperf import simulator
 from spnperf.simulator import (
     default_metrics,
     estimate_metrics,
@@ -120,6 +121,27 @@ def test_replications_must_be_at_least_two():
 def test_replications_must_be_an_integer():
     with pytest.raises(ValueError, match="replications"):
         estimate_metrics(self_loop_net(), horizon=10.0, replications=2.5)
+
+
+@pytest.mark.parametrize("seed", [None, True, 2.5, -1, 2**63])
+def test_a_seed_must_be_a_count(seed):
+    # None would draw OS entropy and True would run as seed 1: the seed
+    # must fix the output, so only an integer from 0 to 2**63 - 1 is taken
+    net = self_loop_net()
+    expected = rf"must be an integer from 0 to 2\*\*63 - 1, got {seed!r}$"
+    with pytest.raises(ValueError, match="^seed " + expected):
+        simulate_run(net, 5.0, seed=seed)
+    with pytest.raises(ValueError, match="^base_seed " + expected):
+        estimate_metrics(net, 5.0, base_seed=seed)
+
+
+def test_the_last_replication_seed_is_checked_before_any_run(monkeypatch):
+    # seed 2**63 - 2 passes, but the third replication's would not
+    runs = []
+    monkeypatch.setattr(simulator, "simulate_run", lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(ValueError, match=rf"^base_seed \+ replications - 1 .*, got {2**63}$"):
+        estimate_metrics(self_loop_net(), 5.0, replications=3, base_seed=2**63 - 2)
+    assert runs == []
 
 
 def test_an_infinite_horizon_is_refused():

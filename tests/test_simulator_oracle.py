@@ -4,10 +4,13 @@ The oracle is the earlier event loop: one ``rng.exponential(scales)`` call
 per event, ``argmin`` for the winner, a marking cache per run and token time
 accumulated as a numpy vector over every place.  The simulator draws
 standard exponentials in blocks, picks the winner over Python floats,
-accumulates token time over the marked places only and shares one marking
-cache between the replications of an ``estimate_metrics`` call.  None of
-that may change a result, so every comparison here is ``==``.
+follows links between marking-table entries, reduces token time and counts
+once per draw block and shares one marking table between the replications
+of an ``estimate_metrics`` call.  None of that may change a result, so
+every comparison here is ``==``.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,3 +237,88 @@ def test_unbounded_net_keeps_the_cache_at_its_cap(monkeypatch):
     assert estimate_metrics(*args) == expected
     assert sizes == [limit] * 4
     assert expected.metrics["mean_tokens:p"][0] > 2 * limit
+
+
+def spy_reductions(monkeypatch):
+    # (events, marking-table rows) of each reduction of token time and counts
+    seen = []
+    real_reduce = simulator._reduce
+
+    def spy(marks, rows, times, *args):
+        seen.append((len(times), len(marks)))
+        return real_reduce(marks, rows, times, *args)
+
+    monkeypatch.setattr(simulator, "_reduce", spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["pubsub", "inhibitor", "deadlock"])
+def test_small_draw_blocks_equal_the_oracle(monkeypatch, name):
+    # 7 draws per refill, fewer than the pub/sub net's 13 transitions: the
+    # events are reduced every few events, and a refill may need two blocks
+    monkeypatch.setattr(simulator, "DRAW_BLOCK", 7)
+    seen = spy_reductions(monkeypatch)
+    net = NETS[name]()
+    for seed in range(3):
+        expected = oracle_run(net, 150.0, 13.7, seed)
+        assert simulate_run(net, 150.0, 13.7, seed) == expected
+    sizes = [events for events, _rows in seen]
+    if expected.deadlocked:
+        # one firing, then the deadlock's hold to the horizon: two events
+        assert sizes == [2] * 3
+    else:
+        assert len(sizes) > 300 and max(sizes) <= 7 + net.n_transitions
+
+
+def test_small_draw_blocks_reuse_run_local_rows(monkeypatch):
+    # past the cap of 40 each mint-net event meets a new run-local marking;
+    # their rows are reused after every reduction, each 7 events or so, so
+    # the table holds 40 rows and at most 8 run-local ones (its row buffer
+    # grows by doubling)
+    monkeypatch.setattr(simulator, "DRAW_BLOCK", 7)
+    monkeypatch.setattr(simulator, "MARKING_CACHE_LIMIT", 40)
+    seen = spy_reductions(monkeypatch)
+    args = (mint_net(), 200.0, 20.0, 3, 11)
+    expected = oracle_estimate(monkeypatch, *args)
+    assert estimate_metrics(*args) == expected
+    assert len(seen) > 60
+    assert max(rows for _events, rows in seen) < 2 * (40 + 8)
+    assert expected.metrics["mean_tokens:p"][0] > 2 * 40
+
+
+def test_first_estimate_discovers_successors_in_blocks(monkeypatch):
+    # a new marking's successors reach the firing kernel as one block, so
+    # the kernel is asked fewer times than the table gains markings
+    calls = []
+    real_kernel = simulator.enabled_rates
+
+    def spy(net, markings):
+        calls.append(len(markings))
+        return real_kernel(net, markings)
+
+    tables = []
+    real_run = simulator.simulate_run
+
+    def keep(*args, _cache, **kwargs):
+        tables.append(_cache)
+        return real_run(*args, _cache=_cache, **kwargs)
+
+    monkeypatch.setattr(simulator, "enabled_rates", spy)
+    monkeypatch.setattr(simulator, "simulate_run", keep)
+    estimate_metrics(build_pubsub_net(PubSubParams()), 1000.0, replications=2)
+    assert len(calls) < len(tables[0]) == sum(calls)
+
+
+def test_run_memory_does_not_grow_with_the_horizon():
+    # events are recorded per draw block and then reduced, so a run holds
+    # O(DRAW_BLOCK) of them at any time, not O(events)
+    net = self_loop_net(rate=1.0)
+    simulate_run(net, 100.0, 0.0, seed=1)  # allocations made once per process
+    peaks = []
+    for horizon in (2e4, 2e5):
+        tracemalloc.start()
+        run = simulate_run(net, horizon, 0.0, seed=1)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert run.firing_counts["loop"] > 0.9 * horizon
+    assert peaks[1] < peaks[0] + 64 * 1024
