@@ -138,7 +138,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    with open(args.trace) as fh:
+    with open(args.trace, encoding="utf-8") as fh:
         trace = files.read_trace(fh)
     model = _load_params(args.params, "monitor")
     policy = files.policy_from_document(files.load_json(args.policy))

@@ -152,8 +152,8 @@ def _decode(text: str, what: str):
 
 
 def load_json(path):
-    """Read one JSON document from a file."""
-    with open(path) as fh:
+    """Read one JSON document from a UTF-8 file (RFC 8259), whatever the locale."""
+    with open(path, encoding="utf-8") as fh:
         return _decode(fh.read(), path)
 
 

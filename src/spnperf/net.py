@@ -177,7 +177,9 @@ class SpnNet:
             inh_place=inh_place,
             inh_trans=inh_trans,
             inh_threshold=self.inh[inh_place, inh_trans],
-            prio=prio if np.unique(prio).size > 1 else None,
+            # neighbours compared, not np.unique: on numpy 2, np.unique without
+            # return_* flags imports numpy.ma, about 27 ms of a cold call
+            prio=prio if (prio[1:] != prio[:-1]).any() else None,
             infinite=is_trans[first],
             infinite_place=is_place,
             infinite_weight=self.pre[is_place, is_trans],

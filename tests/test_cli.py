@@ -368,6 +368,46 @@ def test_infinite_horizon_exits_2_without_simulating(params_file):
     assert "--horizon" in out.stderr
 
 
+def test_inputs_are_read_as_utf8_whatever_the_locale(tmp_path, params_file):
+    # JSON is UTF-8 (RFC 8259): in the C locale, with neither locale coercion
+    # nor UTF-8 mode, a non-ASCII name or a no-break space must still decode
+    doc = json.loads(json.dumps(files.net_to_document(build_pubsub_net(PubSubParams()))))
+    doc["places"][0]["name"] = "PublishersIdl\u00e9"
+    for arc in doc["arcs"]:
+        if arc["place"] == "PublishersIdle":
+            arc["place"] = "PublishersIdl\u00e9"
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    # the trace reader strips each line, a no-break space included
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(
+        '{"t": 1.0, "publishers": 2, "subscribers": 2, "events": 3}\u00a0\n', encoding="utf-8"
+    )
+    policy = write_policy(tmp_path)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    c_locale = {**env, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    utf8_mode = {**env, "PYTHONUTF8": "1"}
+    printed = {}
+    for argv in (["analyze", str(net)], ["monitor", str(trace), params_file, policy]):
+        outs = [
+            subprocess.run(
+                [sys.executable, "-m", "spnperf.cli", *argv],
+                env=child_env, capture_output=True, timeout=120,
+            )
+            for child_env in (c_locale, utf8_mode)
+        ]
+        for out in outs:
+            assert out.returncode == 0, (argv, out.stderr)
+        assert outs[0].stdout == outs[1].stdout, argv
+        printed[argv[0]] = outs[0].stdout
+    assert "PublishersIdl\u00e9" in json.loads(printed["analyze"])["mean_tokens"]
+    assert json.loads(printed["monitor"])["outcome"] == "compliant"
+
+
 # -- monitor ------------------------------------------------------------
 
 def write_policy(tmp_path, **overrides):

@@ -15,15 +15,19 @@ import scipy.stats
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes most of a cold start; the CLI must not load it
+def _child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    return env
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a cold start; the CLI must not load it
     code = "import sys, spnperf.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True,
         check=True, timeout=120,
     )
     assert out.stdout.strip() == "False"
@@ -31,22 +35,17 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 def test_cli_import_leaves_scipy_special_unloaded():
     # the simulator's Student-t quantile uses only math
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     code = "import sys, spnperf.cli; print('scipy.special' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True,
         check=True, timeout=120,
     )
     assert out.stdout.strip() == "False"
 
 
-def test_no_cli_command_loads_scipy(tmp_path):
-    # the runtime needs numpy alone: each of the five commands runs in one
-    # child process, then not even scipy's top-level package may be loaded.
-    # analyze on 2,100 states takes the Gauss-Seidel path, the rest direct.
+def _input_files(tmp_path):
+    # params for the default 1,260-state chain and for a 2,100-state one, a
+    # trace and a policy
     from spnperf import files
     from spnperf.pubsub import PubSubParams
 
@@ -54,12 +53,48 @@ def test_no_cli_command_loads_scipy(tmp_path):
         (tmp_path / name).write_text(text)
         return str(tmp_path / name)
 
-    params = write("params.json", json.dumps(files.params_to_document(PubSubParams())))
-    larger = write("larger.json", json.dumps(files.params_to_document(
-        PubSubParams(n_events=4, net_recv_buffer=2, net_send_buffer=2))))
-    trace = write("trace.jsonl", '{"t": 1.0, "publishers": 2, "subscribers": 2, "events": 3}\n')
-    policy = write("policy.json", json.dumps(
-        {"max_accept_publication_response_time": 2.8, "max_notification_response_time": 3.7}))
+    return (
+        write("params.json", json.dumps(files.params_to_document(PubSubParams()))),
+        write("larger.json", json.dumps(files.params_to_document(
+            PubSubParams(n_events=4, net_recv_buffer=2, net_send_buffer=2)))),
+        write("trace.jsonl", '{"t": 1.0, "publishers": 2, "subscribers": 2, "events": 3}\n'),
+        write("policy.json", json.dumps(
+            {"max_accept_publication_response_time": 2.8,
+             "max_notification_response_time": 3.7})),
+    )
+
+
+def _modules_after(*groups):
+    """Run each group of CLI commands in turn in one fresh child process;
+    return, per group, the exit codes and the sorted names of the loaded
+    modules in scipy, numpy.ma and numpy.random."""
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from spnperf.cli import main
+        watched = ("scipy", "numpy.ma", "numpy.random")
+        out = []
+        for group in json.loads(sys.argv[1]):
+            codes = []
+            for argv in group:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    codes.append(main(argv))
+            # "numpy.matrixlib" shares the prefix "numpy.ma" but not the package
+            loaded = [m for m in sys.modules
+                      if any(m == w or m.startswith(w + ".") for w in watched)]
+            out.append([codes, sorted(loaded)])
+        print(json.dumps(out))
+    """)
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(groups)], env=_child_env(),
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    return json.loads(out.stdout)
+
+
+def test_no_cli_command_loads_scipy(tmp_path):
+    # the runtime needs numpy alone: each of the five commands runs in one
+    # child process, then not even scipy's top-level package may be loaded
+    params, larger, trace, policy = _input_files(tmp_path)
     commands = [
         ["export-net", params],
         ["analyze", params],
@@ -68,24 +103,29 @@ def test_no_cli_command_loads_scipy(tmp_path):
         ["simulate", params, "--horizon", "50", "--replications", "2"],
         ["monitor", trace, params, policy],
     ]
-    code = textwrap.dedent("""
-        import contextlib, io, json, sys
-        from spnperf.cli import main
-        codes = []
-        for argv in json.loads(sys.argv[1]):
-            with contextlib.redirect_stdout(io.StringIO()):
-                codes.append(main(argv))
-        print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
-    """)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(commands)], env=env, capture_output=True,
-        text=True, check=True, timeout=300,
-    )
-    assert json.loads(out.stdout) == [[0] * len(commands), []]
+    ((codes, loaded),) = _modules_after(commands)
+    assert codes == [0] * len(commands)
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_commands_load_numpy_random_for_simulate_only_and_never_numpy_ma(tmp_path):
+    # each costs a cold call about 25 ms: only the simulator needs
+    # numpy.random, and no command needs numpy.ma, which numpy 2's np.unique
+    # without return_* flags imports
+    params, larger, trace, policy = _input_files(tmp_path)
+    analytic = [
+        ["export-net", params],
+        ["analyze", params],
+        ["analyze", larger],
+        ["sweep", params, "--factor", "r_pub_qos", "--values", "0.5,2"],
+        ["monitor", trace, params, policy],
+    ]
+    simulate = [["simulate", params, "--horizon", "50", "--replications", "2"]]
+    (codes, before), (sim_codes, after) = _modules_after(analytic, simulate)
+    assert codes == [0] * len(analytic) and sim_codes == [0]
+    assert before == []
+    assert "numpy.random" in after
+    assert [m for m in after if m.split(".")[:2] != ["numpy", "random"]] == []
 
 
 def test_stdtrit_equals_t_ppf():

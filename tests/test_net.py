@@ -58,6 +58,28 @@ def test_priority_masks_lower_priority_transitions():
     assert enabled_transitions(net, (1,)) == (1,)
 
 
+@pytest.mark.parametrize(
+    "priorities, masks",
+    [((), False), ((3,), False), ((1, 1, 1), False), ((0, 2, 2), True), ((2, 2, 0), True)],
+)
+def test_kernel_keeps_priorities_only_when_they_differ(priorities, masks):
+    # all-equal priorities mask nothing, so the kernel drops them; a net
+    # without transitions has no priorities to compare
+    net = simple_net(
+        [("p", 1)],
+        [(f"t{j}", 1.0, prio) for j, prio in enumerate(priorities)],
+        [("p", f"t{j}", "pre", 1) for j in range(len(priorities))],
+    )
+    prio = net._kernel_columns.prio
+    assert (prio is not None) == masks
+    if masks:
+        assert prio.tolist() == list(priorities)
+    top = max(priorities, default=0)
+    assert enabled_transitions(net, (1,)) == tuple(
+        j for j, p in enumerate(priorities) if p == top
+    )
+
+
 def test_inhibitor_threshold_semantics():
     net = simple_net(
         [("p", 0), ("q", 1)],
