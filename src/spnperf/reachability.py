@@ -28,6 +28,7 @@ from .net import (
     SpnNet,
     SpnError,
     enabling_degree,
+    is_count,
     validate_net,
 )
 
@@ -50,6 +51,11 @@ class StateExplosionError(SpnError):
     def __init__(self, limit):
         self.limit = limit
         super().__init__(f"state space exceeds max_states={limit}")
+
+
+def _check_max_states(max_states) -> None:
+    if not is_count(max_states):
+        raise ValueError(f"max_states must be an integer within int64, got {max_states!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,6 +136,7 @@ def explore(net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctmc:
     ``StateExplosionError`` once more than ``max_states`` distinct markings
     have been found.  Deadlock markings are recorded, not rejected.
     """
+    _check_max_states(max_states)
     violations = validate_net(net)
     if violations:
         raise InvalidNetError(violations)
@@ -218,6 +225,7 @@ def rerate(ctmc: Ctmc, net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctm
     validation and ``StateExplosionError`` for a chain of more than
     ``max_states`` states.
     """
+    _check_max_states(max_states)
     violations = validate_net(net)
     if violations:
         raise InvalidNetError(violations)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import SpnNet, enabled_rates, is_count, validate_net
+from .net import SpnNet, enabled_rates, is_count, is_real, validate_net
 from .reachability import InvalidNetError
 
 
@@ -194,10 +194,15 @@ def simulate_run(
     violations = validate_net(net)
     if violations:
         raise InvalidNetError(violations)
+    # True would run to 1.0: a time is a float or a count, nothing else
+    if not is_real(horizon):
+        raise ValueError(f"horizon must be a real number, got {horizon!r}")
     if not math.isfinite(horizon):  # the event loop would never reach it
         raise ValueError(f"horizon must be finite, got {horizon!r}")
     if warmup is None:
         warmup = 0.1 * horizon
+    elif not is_real(warmup):
+        raise ValueError(f"warmup must be a real number, got {warmup!r}")
     if not (0 <= warmup < horizon):
         raise ValueError("warmup must satisfy 0 <= warmup < horizon")
     _check_seed("seed", seed)

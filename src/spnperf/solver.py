@@ -29,13 +29,13 @@ where minus the block's part of the generator factors as (I - N)(S - M).
 Three matrix products then update the block's rows (T @ R0), its columns
 (C0 @ V) and the window (C @ R).  The small array is eliminated by the
 same scheme, 16 states at a time, and only that inner level goes state
-by state.  Back-substitution goes a block at a time through T, which is
-(I - N)^-1 for N the block's in-block coupling.  Where pi changes by more
-than float64's range within a block, T would overflow, and that block goes
-state by state instead.  All of these entries, and every operation on
-them, are non-negative sums, products and quotients, so GTH's
-componentwise accuracy (O'Cinneide 1993) holds as it does one state at a
-time.
+by state.  Where pi changes by more than float64's range within a block,
+T would overflow, and that block is eliminated state by state instead.
+Back-substitution goes one state at a time over the same windows, and
+rescales by a power of two whenever a probability ratio passes 1.  All
+of these entries, and every operation on them, are non-negative sums,
+products and quotients, so GTH's componentwise accuracy (O'Cinneide
+1993) holds as it does one state at a time.
 
 What depends only on the chain's structure -- Q's pattern, the
 irreducibility verdict, the level plan in level order, and the RCM order
@@ -332,7 +332,7 @@ def _pivot(a: np.ndarray, lo: int, hi: int, w: int, s: int):
         a[w:k, w:k] += col[:, None] * a[k, w:k]
 
 
-def _eliminate(a: np.ndarray, first: int, sizes: tuple, start=None) -> list:
+def _eliminate(a: np.ndarray, first: int, sizes: tuple, start=None):
     """GTH-eliminate states ``a.shape[0] - 1`` down to ``first`` in place.
 
     State k's pivot adds up ``a[k, first - 1:k]``: the columns below
@@ -342,15 +342,12 @@ def _eliminate(a: np.ndarray, first: int, sizes: tuple, start=None) -> list:
     is None), and each block's own array is eliminated the same way with
     ``sizes[1:]``.  A block whose array holds an entry above 2**500, or a
     non-finite one, goes one state at a time instead.  Leaves a's strictly
-    upper part as eliminating one state at a time would, and returns each
-    block's ``(lo, hi, T)``, from the top, with T None for a block that
-    went one state at a time.
+    upper part as eliminating one state at a time would.
     """
     n = a.shape[0]
     if not sizes:
         _pivot(a, first, n, 0, first - 1)
-        return []
-    blocks = []
+        return
     bounds = [*range(n, first, -sizes[0]), first]
     for hi, lo in zip(bounds, bounds[1:]):
         m = hi - lo
@@ -366,10 +363,8 @@ def _eliminate(a: np.ndarray, first: int, sizes: tuple, start=None) -> list:
         with np.errstate(over="ignore", invalid="ignore"):
             _eliminate(g, m + 1, sizes[1:])
         if not g.max() <= 2.0**500:
-            # one state at a time keeps every entry a rate or a ratio of
-            # rates, and the back-substitution rescales after every state
+            # one state at a time keeps every entry a rate or a ratio of rates
             _pivot(a, lo, hi, w, max(w, first - 1))
-            blocks.append((lo, hi, None))
             continue
         t, v = g[m + 1 :, :m], g[:m, m + 1 :]
         r = t @ a[blk, win]
@@ -377,37 +372,9 @@ def _eliminate(a: np.ndarray, first: int, sizes: tuple, start=None) -> list:
         a[win, win] += a[win, blk] @ r
         a[blk, win] = r
         a[blk, blk] = g[m + 1 :, m + 1 :]
-        blocks.append((lo, hi, t.copy()))  # T alone, not all of g
-    return blocks
 
 
-def _back_substitute(a: np.ndarray, blocks: list, start: np.ndarray) -> np.ndarray:
-    """Unnormalized pi from ``_eliminate``'s array and blocks, block by
-    block from state 0: ``x[lo:hi] = (x[w:lo] @ a[w:lo, lo:hi]) @ T``, or
-    ``x[k] = x[w:k] @ a[w:k, k]`` state by state where T is None."""
-    x = np.empty(a.shape[0])
-    x[0] = 1.0
-    for lo, hi, t in reversed(blocks):
-        w = start[lo]
-        if t is None:
-            for k in range(lo, hi):
-                x[k] = x[w:k] @ a[w:k, k]
-                _rescale(x, k, k + 1)
-        else:
-            x[lo:hi] = (x[w:lo] @ a[w:lo, lo:hi]) @ t
-            _rescale(x, lo, hi)
-    return x
-
-
-def _rescale(x: np.ndarray, lo: int, hi: int):
-    # x holds probability ratios, which grow by up to T's entries within a
-    # block: keep its largest entry below 1 by an exact power of two
-    top = x[lo:hi].max()
-    if top > 1.0:
-        x[:hi] = np.ldexp(x[:hi], -math.frexp(top)[1])
-
-
-def _solve_direct(q: Generator, block: int = 32) -> tuple[np.ndarray, int]:
+def _solve_direct(q: Generator) -> tuple[np.ndarray, int]:
     # GTH state elimination.  Every operation adds, multiplies or divides
     # non-negative rates -- no cancellation -- so the probabilities keep
     # componentwise relative accuracy in any elimination order (O'Cinneide
@@ -435,14 +402,20 @@ def _solve_direct(q: Generator, block: int = 32) -> tuple[np.ndarray, int]:
     # block's rows are written back as T @ R0 -- the outer level never
     # reads its own stale rows, but the inner level does.
     #
-    # Back-substitution: x_B = x_W C + x_B N, as N is B's in-block
-    # coupling, so x_B = (x_W C) @ T, one block at a time.
+    # Back-substitution reads only the scaled columns, which end as one
+    # state at a time leaves them: x_k = x[start[k]:k] @ a[start[k]:k, k].
     p = q.pattern
     n = p.n
     i, j = p.band
     a = np.zeros((n, n))
     a[i, j] = q.val
-    x = _back_substitute(a, _eliminate(a, 1, (block, 16), p.windows), p.windows)
+    _eliminate(a, 1, (32, 16), p.windows)
+    x = np.empty(n)
+    x[0] = 1.0
+    for k, s in enumerate(p.windows.tolist()[1:], 1):
+        x[k] = v = np.dot(x[s:k], a[s:k, k])
+        if v > 1.0:  # ratios may pass float64's range: rescale exactly
+            x[: k + 1] = np.ldexp(x[: k + 1], -math.frexp(v)[1])
     pi = np.empty(n)
     pi[p.rcm] = x / x.sum()
     return pi, 0

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from spnperf.net import Place, SpnNet, Transition
@@ -6,6 +8,7 @@ from spnperf.reachability import (
     StateExplosionError,
     check_place_invariant,
     explore,
+    rerate,
 )
 from nets import producer_consumer_net, self_loop_net, simple_net
 
@@ -85,6 +88,19 @@ def test_explosion_error():
     net = simple_net([("p", 0)], [("mint", 1.0)], [("p", "mint", "post", 1)])
     with pytest.raises(StateExplosionError):
         explore(net, max_states=50)
+
+
+@pytest.mark.parametrize("max_states", [True, 2.5, "10", None, 2**63])
+def test_max_states_must_be_a_count(max_states):
+    # True would pass as a limit of 1 and 2.5 as one of 2.5; "10" and None
+    # would fail with a TypeError
+    net = producer_consumer_net()
+    ctmc = explore(net)
+    message = f"^max_states must be an integer within int64, got {re.escape(repr(max_states))}$"
+    with pytest.raises(ValueError, match=message):
+        explore(net, max_states=max_states)
+    with pytest.raises(ValueError, match=message):
+        rerate(ctmc, net, max_states=max_states)
 
 
 def test_place_invariant_holds():

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -187,6 +188,24 @@ def test_invalid_net_is_refused():
     net = simple_net([("p", -1)], [("t", 1.0)], [("p", "t", "pre", 1)])
     with pytest.raises(InvalidNetError, match="negative initial tokens"):
         simulate_run(net, horizon=10.0)
+
+
+@pytest.mark.parametrize("horizon", [True, "10", None])
+def test_a_horizon_must_be_a_real_number(horizon):
+    # True would run to 1.0, and "10" or None would fail with a TypeError
+    message = f"^horizon must be a real number, got {re.escape(repr(horizon))}$"
+    for run in (simulate_run, estimate_metrics):
+        with pytest.raises(ValueError, match=message):
+            run(self_loop_net(), horizon)
+
+
+@pytest.mark.parametrize("warmup", [True, False, "1"])
+def test_a_warmup_must_be_a_real_number(warmup):
+    # True and False would run as warm-ups of 1 and 0
+    message = f"^warmup must be a real number, got {re.escape(repr(warmup))}$"
+    for run in (simulate_run, estimate_metrics):
+        with pytest.raises(ValueError, match=message):
+            run(self_loop_net(), 5.0, warmup)
 
 
 @pytest.mark.parametrize("warmup", [10.0, 20.0])

@@ -10,10 +10,9 @@ Gauss-Seidel, which substitutes level by level, is checked against a sweep
 loop that solves the triangle with scipy afresh each sweep: same sweep count,
 same probabilities to 1e-12 componentwise.
 
-The block back-substitution is checked against the per-state one it
-replaced, on the same eliminated array, and on steep chains against a
-closed form.  A per-state elimination that updates every row and column
-that can fill checks that fill stays inside the solver's envelope windows.
+The direct solve is checked on steep chains against a closed form.  A
+per-state elimination that updates every row and column that can fill
+checks that fill stays inside the solver's envelope windows.
 
 The solver's reverse Cuthill-McKee order is checked against scipy's: a
 permutation, a band no wider, and the same order from the same start state.
@@ -33,14 +32,14 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spnperf import solver
+from spnperf import pubsub, solver
 from spnperf.pubsub import PubSubParams, build_pubsub_net
 from spnperf.reachability import explore
 from spnperf.solver import ConvergenceError, steady_state
 from nets import mm1k_log_pi, mm1k_net, mm1k_pi, simple_net
 from test_explore_oracle import PUBSUB_CONFIGS
 
-BLOCK = 32  # the default block of solver._solve_direct
+BLOCK = 32  # the outer block of solver._solve_direct
 RTOL = 1e-12
 
 
@@ -133,6 +132,20 @@ def test_pubsub_configurations_match_dense(overrides, n_states):
     assert_matches_dense(ctmc)
 
 
+def test_auto_falls_back_to_gth_on_a_random_rate_pubsub_chain():
+    # every rate drawn from 10^U(-1, 1) on the default structure: Gauss-Seidel
+    # mixes too slowly to stop within its budget (287 sweeps), so auto's
+    # answer is the direct solve's, bit for bit
+    rng = np.random.default_rng(1)
+    params = PubSubParams(**{name: 10.0 ** rng.uniform(-1, 1) for name in pubsub._RATES})
+    ctmc = explore(build_pubsub_net(params))
+    assert ctmc.n_states == 1260
+    dist = steady_state(ctmc)
+    assert dist.method == "direct"
+    assert np.array_equal(dist.probabilities, steady_state(ctmc, method="direct").probabilities)
+    assert_componentwise(dist.probabilities, dense_gth(generator_matrix(ctmc)))
+
+
 # -- birth-death chains with closed forms -----------------------------------
 
 @pytest.mark.parametrize("k", [40, 300])
@@ -202,13 +215,12 @@ def irreducible_chains(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(irreducible_chains(), st.sampled_from([1, 2, 3, 7, BLOCK]))
-def test_random_irreducible_chains_match_dense(net, block):
+@given(irreducible_chains())
+def test_random_irreducible_chains_match_dense(net):
     ctmc = explore(net)
     q = generator_matrix(ctmc)
     expected = dense_gth(q)
-    # the window clipping must hold for blocks narrower and wider than the band
-    pi, _iterations = solver._solve_direct(solver.generator(ctmc), block=block)
+    pi, _iterations = solver._solve_direct(solver.generator(ctmc))
     assert_componentwise(pi, expected)
     assert_componentwise(steady_state(ctmc, method="direct").probabilities, expected)
 
@@ -343,7 +355,7 @@ def test_monitor_trace_chain_at_3900_states_forced_direct_matches_dense():
     assert_matches_dense(ctmc)
 
 
-# -- envelope windows and the block back-substitution --------------------------
+# -- envelope windows and steep chains -----------------------------------------
 
 def rcm_dense(ctmc):
     """Q's off-diagonal rates as a dense array in the solver's RCM order, and
@@ -385,27 +397,6 @@ def test_fill_stays_inside_the_envelope_windows_of_random_chains(net):
     assert_inside_windows(explore(net))
 
 
-def per_state_back_substitution(a):
-    """The back-substitution as the solver first ran it: one state at a time,
-    x_k = x[:k] @ a[:k, k], rescaled by 2^-500 once an entry passes 2^500."""
-    n = a.shape[0]
-    x = np.empty(n)
-    x[0] = 1.0
-    for k in range(1, n):
-        x[k] = x[:k] @ a[:k, k]
-        if x[k] > 2.0**500:
-            x[: k + 1] *= 2.0**-500
-    return x / x.sum()
-
-
-@pytest.mark.parametrize("overrides,n_states", PUBSUB_CONFIGS)
-def test_block_back_substitution_matches_the_per_state_one(overrides, n_states):
-    a, start = rcm_dense(explore(build_pubsub_net(PubSubParams(**overrides))))
-    blocks = solver._eliminate(a, 1, (BLOCK, 16), start)  # as _solve_direct does
-    x = solver._back_substitute(a, blocks, start)
-    assert_componentwise(x / x.sum(), per_state_back_substitution(a), rtol=1e-13)
-
-
 @pytest.mark.parametrize(
     "lam, mu, k",
     [
@@ -414,10 +405,11 @@ def test_block_back_substitution_matches_the_per_state_one(overrides, n_states):
     ],
 )
 def test_steep_mm1k_matches_log_space_closed_form(lam, mu, k):
-    # pi falls or grows by up to 1e256 within one block, so each block must
-    # start from rescaled ratios; at K = 70 with 1e8 the tail underflows.
-    # With 1e10 and 1e12 pi grows past float64's range within one block, so
-    # T would overflow: those blocks go one state at a time, without a warning
+    # pi falls or grows by up to 1e256 within one block, so the
+    # back-substitution must rescale as it goes; at K = 70 with 1e8 the tail
+    # underflows.  With 1e10 and 1e12 pi grows past float64's range within
+    # one block, so T would overflow: those blocks are eliminated one state
+    # at a time, without a warning
     ctmc = explore(mm1k_net(lam, mu, k))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
