@@ -2,7 +2,8 @@
 
 Loaders check only the JSON shape: required and unknown keys, no key
 repeated within an object, lists and objects where the format has them,
-and arc references to node names.
+arc references to node names, and no listed arc of weight 0, which the
+weight matrices would hold as no arc.
 Every value is checked by the object it builds (``validate_net`` and
 ``SpnNet`` for nets, ``PubSubParams``, ``MonitorPolicy``,
 ``WorkloadSnapshot``), whose ``ValueError`` becomes a ``FormatError``.  So
@@ -18,7 +19,7 @@ from dataclasses import MISSING
 import numpy as np
 
 from .monitor import DecisionRecord, MonitorPolicy, WorkloadSnapshot
-from .net import Place, SpnNet, Transition, validate_net
+from .net import Place, SpnNet, Transition, is_count, validate_net
 from .pubsub import PubSubParams
 from .simulator import SimulationEstimate
 from .solver import MetricsReport
@@ -114,7 +115,13 @@ def net_from_document(doc: dict) -> SpnNet:
                 f"duplicate {entry['kind']} arc {entry['place']!r} -> {entry['transition']!r}"
             )
         seen.add(arc)
-        mats[entry["kind"]][p, t] = entry.get("weight", 1)
+        weight = entry.get("weight", 1)
+        if is_count(weight) and weight == 0:  # SpnNet refuses a negative one
+            raise FormatError(
+                f"{entry['kind']} arc {entry['place']!r} -> {entry['transition']!r}"
+                " has weight 0; an arc's weight is at least 1"
+            )
+        mats[entry["kind"]][p, t] = weight
     try:
         return dataclasses.replace(net, pre=mats["pre"], post=mats["post"], inh=mats["inhibitor"])
     except ValueError as exc:

@@ -20,17 +20,11 @@ DIRECT_MAX_BYTES.
 The direct solve runs GTH elimination inside the envelope of Q in reverse
 Cuthill-McKee order.  It eliminates 32 states at a time, each block over
 its envelope window: the states below it that reach into it, the only
-ones that fill can touch.  A block's own states are eliminated in a small
-array that stands in for the rest of the chain with two kinds of extra
-entries: one aggregate column, holding each block row's summed rates into
-the window, which is all a pivot needs of the window; and identity seeds,
-which the same eliminations turn into T = (I - N)^-1 and V = (S - M)^-1,
-where minus the block's part of the generator factors as (I - N)(S - M).
-Three matrix products then update the block's rows (T @ R0), its columns
-(C0 @ V) and the window (C @ R).  The small array is eliminated by the
-same scheme, 16 states at a time, and only that inner level goes state
-by state.  Where pi changes by more than float64's range within a block,
-T would overflow, and that block is eliminated state by state instead.
+ones that fill can touch.  A block's own states are eliminated one by one
+in a small array with one extra column, each row's summed rates into the
+window, which is all a pivot needs of the window.  Then two recurrences,
+top down, pass the pivots on to the rows and the columns between block
+and window, and one matrix product updates the window.
 Back-substitution goes one state at a time over the same windows, and
 rescales by a power of two whenever a probability ratio passes 1.  All
 of these entries, and every operation on them, are non-negative sums,
@@ -322,56 +316,37 @@ def _windows(p: _Pattern) -> np.ndarray:
     return np.searchsorted(np.maximum.accumulate(reach), np.arange(p.n))
 
 
-def _pivot(a: np.ndarray, lo: int, hi: int, w: int, s: int):
-    """GTH-eliminate states ``hi - 1`` down to ``lo`` in place, one at a
-    time, each over rows and columns ``[w, k)``; pivot k adds up
-    ``a[k, s:k]``."""
-    for k in range(hi - 1, lo - 1, -1):
-        col = a[w:k, k]
-        col /= a[k, s:k].sum()
-        a[w:k, w:k] += col[:, None] * a[k, w:k]
-
-
-def _eliminate(a: np.ndarray, first: int, sizes: tuple, start=None):
-    """GTH-eliminate states ``a.shape[0] - 1`` down to ``first`` in place.
-
-    State k's pivot adds up ``a[k, first - 1:k]``: the columns below
-    ``first - 1`` are not states.  With ``sizes`` empty the states go one
-    by one.  Otherwise they go in blocks of ``sizes[0]`` from the top, each
-    over the window ``[start[lo], lo)`` below it (``[0, lo)`` when ``start``
-    is None), and each block's own array is eliminated the same way with
-    ``sizes[1:]``.  A block whose array holds an entry above 2**500, or a
-    non-finite one, goes one state at a time instead.  Leaves a's strictly
-    upper part as eliminating one state at a time would.
+def _eliminate(a: np.ndarray, start: np.ndarray):
+    """GTH-eliminate states ``a.shape[0] - 1`` down to 1 in place, 32 at a
+    time, each block ``[lo, hi)`` over its window ``[start[lo], lo)``.
+    Leaves a's strictly upper part as eliminating one state at a time would.
     """
     n = a.shape[0]
-    if not sizes:
-        _pivot(a, first, n, 0, first - 1)
-        return
-    bounds = [*range(n, first, -sizes[0]), first]
+    bounds = [*range(n, 1, -32), 1]
     for hi, lo in zip(bounds, bounds[1:]):
         m = hi - lo
-        w = 0 if start is None else start[lo]
-        win, blk = slice(w, lo), slice(lo, hi)
-        g = np.zeros((2 * m + 1, 2 * m + 1))
-        g[:m, m + 1 :] = np.eye(m)
-        g[m + 1 :, :m] = np.eye(m)
-        g[m + 1 :, m] = a[blk, max(w, first - 1) : lo].sum(axis=1)
-        g[m + 1 :, m + 1 :] = a[blk, blk]
-        # T and V overflow where pi changes by more than float64's range
-        # within the block; that is checked below, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            _eliminate(g, m + 1, sizes[1:])
-        if not g.max() <= 2.0**500:
-            # one state at a time keeps every entry a rate or a ratio of rates
-            _pivot(a, lo, hi, w, max(w, first - 1))
-            continue
-        t, v = g[m + 1 :, :m], g[:m, m + 1 :]
-        r = t @ a[blk, win]
-        a[win, blk] = a[win, blk] @ v
-        a[win, win] += a[win, blk] @ r
-        a[blk, win] = r
-        a[blk, blk] = g[m + 1 :, m + 1 :]
+        win, blk = slice(start[lo], lo), slice(lo, hi)
+        rows, cols = a[blk, win].copy(), a[win, blk].T.copy()
+        # block state k at g[k - lo + 1]; column 0 holds each row's rates
+        # into the window, all its pivot needs of them
+        g = np.zeros((m + 1, m + 1))
+        g[1:, 0] = rows.sum(axis=1)
+        g[1:, 1:] = a[blk, blk]
+        pivot = np.empty(m + 1)
+        for k in range(m, 0, -1):
+            pivot[k] = g[k, :k].sum()
+            col = g[1:k, k]
+            col /= pivot[k]
+            g[1:k, :k] += col[:, None] * g[k, :k]
+        a[blk, blk] = g[1:, 1:]
+        # each block row into the window, and each window column into the
+        # block, gains what the pivots above it pass on, top down
+        for k in range(m, 0, -1):
+            rows[k - 1] += np.dot(g[k, k + 1 :], rows[k:])
+            cols[k - 1] += np.dot(g[k + 1 :, k], cols[k:])
+            cols[k - 1] /= pivot[k]
+        a[blk, win], a[win, blk] = rows, cols.T
+        a[win, win] += cols.T @ rows
 
 
 def _solve_direct(q: Generator) -> tuple[np.ndarray, int]:
@@ -382,25 +357,16 @@ def _solve_direct(q: Generator) -> tuple[np.ndarray, int]:
     # only its envelope window [start[k], k) (``_windows``): no fill
     # outside it.
     #
-    # States [lo, hi) go as one block B of m states over the window
-    # W = [start[lo], lo) below it.  Minus the generator's B part factors as
-    # (I - N)(S - M): N the pivot-scaled columns a[j, k] / s_k, S - M the
-    # rows at each pivot.  g holds m seeds, an aggregate column and B.
-    # The aggregate column starts as each B row's sum over W and is
-    # updated like any column, so it stays that sum, and each pivot s_k
-    # is the rest of B's row plus it.  Seed column i starts as e_i in B's
-    # rows and ends as column i of T = (I - N)^-1; seed row i starts as e_i
-    # in B's columns and ends as row i of V = (S - M)^-1.  Then W's scaled
-    # columns into B are C0 @ V, B's rows into W are T @ R0, and W gains
-    # C @ R.  Each entry is built from sums, products and quotients of
-    # non-negative numbers: nothing is subtracted.
-    #
-    # g is eliminated by the same scheme, 16 states at a time, each inner
-    # block over all of g below it; its pivots add up the aggregate column
-    # and B's own columns, never the seeds.  Only this inner level goes
-    # state by state.  T lives in the rows of g's inner blocks, so each
-    # block's rows are written back as T @ R0 -- the outer level never
-    # reads its own stale rows, but the inner level does.
+    # States [lo, hi) go as one block B over the window W = [start[lo], lo)
+    # below it (``_eliminate``).  B's states are eliminated one at a time in
+    # g, whose column 0 starts as each B row's sum over W and is updated
+    # like any column, so it stays that sum and each pivot is the rest of
+    # B's row plus it.  Then, for k from the top of B down, B's row k into
+    # W gains a[k, j] / s_j times the final row j into W, for each j above
+    # k in B, and W's column into k gains W's final scaled column into j
+    # times a[j, k], before it is divided by s_k; W gains W's scaled
+    # columns into B times B's rows into W.  These are the sums one state
+    # at a time forms, in another order, and nothing is subtracted.
     #
     # Back-substitution reads only the scaled columns, which end as one
     # state at a time leaves them: x_k = x[start[k]:k] @ a[start[k]:k, k].
@@ -409,7 +375,7 @@ def _solve_direct(q: Generator) -> tuple[np.ndarray, int]:
     i, j = p.band
     a = np.zeros((n, n))
     a[i, j] = q.val
-    _eliminate(a, 1, (32, 16), p.windows)
+    _eliminate(a, p.windows)
     x = np.empty(n)
     x[0] = 1.0
     for k, s in enumerate(p.windows.tolist()[1:], 1):

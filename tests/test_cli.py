@@ -12,7 +12,7 @@ from spnperf import files, solver
 from spnperf.cli import SWEEP_HEADER, main
 from spnperf.monitor import solve_model
 from spnperf.pubsub import PubSubParams, build_pubsub_net
-from spnperf.reachability import DEFAULT_MAX_STATES
+from spnperf.reachability import DEFAULT_MAX_STATES, explore
 from nets import mm1k_net, producer_consumer_net, simple_net
 from test_solver_oracle import GS_RTOL, assert_componentwise
 
@@ -121,6 +121,16 @@ def test_trace_parsing_and_ordering():
         files.read_trace(['{"t": 1.0, "publishers": 2}'])
 
 
+def test_blank_trace_lines_are_skipped():
+    lines = [
+        '{"t": 1.0, "publishers": 2, "subscribers": 2, "events": 3}\n',
+        '{"t": 2.0, "publishers": 1, "subscribers": 1, "events": 1}\n',
+    ]
+    snaps = files.read_trace(lines)
+    assert len(snaps) == 2
+    assert files.read_trace(["\n", lines[0], "\n", "  \t\n", lines[1], "\n"]) == snaps
+
+
 # -- analyze ------------------------------------------------------------
 
 def test_analyze_params_file(params_file, capsys):
@@ -194,6 +204,25 @@ def test_analyze_explosion_exits_3(params_file, capsys):
     code, _out, err = run_cli(capsys, "analyze", params_file, "--max-states", "10")
     assert code == 3
     assert "max_states" in err
+
+
+def test_analyze_exits_3_when_the_direct_solve_does_not_fit(tmp_path, capsys, monkeypatch):
+    # 2,100 states: the dense array of the direct solve needs 8 * 2100**2
+    # bytes, over DIRECT_MAX_BYTES, so auto refuses once the sweeps run out
+    monkeypatch.setattr(solver, "DEFAULT_MAX_ITER", 2)
+    params = PubSubParams(n_events=4, net_recv_buffer=2, net_send_buffer=2)
+    ctmc = explore(build_pubsub_net(params))
+    assert ctmc.n_states == 2100
+    with pytest.raises(solver.ConvergenceError) as exc:
+        solver.steady_state(ctmc)
+    message = str(exc.value)
+    assert message.startswith("no convergence after 2 sweeps (balance residual ")
+    assert message.endswith("; the direct solve needs 34 MiB, over its 32 MiB limit")
+    path = write_doc(tmp_path, files.params_to_document(params))
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert code == 3
+    assert out == ""
+    assert message in err
 
 
 # -- sweep --------------------------------------------------------------
@@ -282,6 +311,23 @@ def test_simulate_single_replication_exits_2(params_file, capsys):
         capsys, "simulate", params_file, "--horizon", "100", "--replications", "1"
     )
     assert code == 2
+
+
+def test_simulate_prints_the_estimates_alone_when_the_chain_is_not_solved(params_file, capsys):
+    # --max-states 1 stops exploration: the estimates go out without analytic
+    # values or CI verdicts
+    code, out, _err = run_cli(
+        capsys, "simulate", params_file, "--horizon", "50", "--replications", "2",
+        "--max-states", "1",
+    )
+    assert code == 0
+    metrics = json.loads(out)["metrics"]
+    net = build_pubsub_net(PubSubParams())
+    assert set(metrics) == {
+        *(f"throughput:{t.name}" for t in net.transitions),
+        *(f"mean_tokens:{p.name}" for p in net.places),
+    }
+    assert all(set(entry) == {"mean", "half_width_95"} for entry in metrics.values())
 
 
 def test_simulate_negative_seed_exits_2(params_file, capsys):
@@ -728,6 +774,12 @@ def _set(path, value):
         (_set(("transitions", 0, "semantics"), "many_server"), "unknown semantics"),
         (_set(("arcs", 0, "kind"), "test"), "unknown arc kind"),
         (_set(("arcs", 0, "place"), "Nowhere"), "unknown node 'Nowhere'"),
+        # 0 is no arc in the weight matrices: these arcs would load as absent
+        (_set(("arcs", 0, "weight"), 0), "pre arc 'Free' -> 'arrive' has weight 0"),
+        (_set(("arcs", 2, "weight"), 0), "post arc 'Free' -> 'serve' has weight 0"),
+        (lambda doc: doc["arcs"].append(
+            {"place": "Queue", "transition": "arrive", "kind": "inhibitor", "weight": 0}
+        ), "inhibitor arc 'Queue' -> 'arrive' has weight 0"),
     ],
 )
 def test_malformed_net_documents_exit_2(tmp_path, capsys, edit, message):

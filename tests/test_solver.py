@@ -201,15 +201,17 @@ def test_gauss_seidel_gives_up_after_the_sweep_budget(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "method,target,message",
+    "method,target,message,value",
     [
-        ("direct", "_solve_direct", "no convergence after the direct solve"),
-        ("iterative", "_solve_gauss_seidel", "no convergence after 7 sweeps"),
+        ("direct", "_solve_direct", "no convergence after the direct solve", np.nan),
+        ("iterative", "_solve_gauss_seidel", "no convergence after 7 sweeps", np.nan),
+        # finite and non-negative, but far from balanced on M/M/1/3
+        ("direct", "_solve_direct", r"the direct solve \(balance residual [1-9]", 1.0),
     ],
 )
-def test_a_refused_solve_names_its_path(monkeypatch, method, target, message):
+def test_a_refused_solve_names_its_path(monkeypatch, method, target, message, value):
     from spnperf import solver
 
-    monkeypatch.setattr(solver, target, lambda q: (np.full(q.shape[0], np.nan), 7, True))
+    monkeypatch.setattr(solver, target, lambda q: (np.full(q.shape[0], value), 7, True))
     with pytest.raises(solver.ConvergenceError, match=message):
         steady_state(explore(mm1k_net(1.0, 2.0, 3)), method=method)

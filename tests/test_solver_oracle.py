@@ -408,8 +408,7 @@ def test_steep_mm1k_matches_log_space_closed_form(lam, mu, k):
     # pi falls or grows by up to 1e256 within one block, so the
     # back-substitution must rescale as it goes; at K = 70 with 1e8 the tail
     # underflows.  With 1e10 and 1e12 pi grows past float64's range within
-    # one block, so T would overflow: those blocks are eliminated one state
-    # at a time, without a warning
+    # one block, which the elimination must pass without a warning
     ctmc = explore(mm1k_net(lam, mu, k))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
