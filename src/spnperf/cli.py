@@ -1,7 +1,8 @@
 """Command-line surface: analyze, sweep, simulate, monitor, export-net.
 
 Exit codes: 0 success, 2 invalid input (schema, validation, arguments),
-3 analysis failure (state explosion, reducible chain, no convergence).
+3 analysis failure (state explosion, token overflow, reducible chain, no
+convergence).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 
 from . import files
 from .monitor import run_loop, solve_model
+from .net import TokenOverflowError
 from .pubsub import FACTOR_NAMES, NETWORK_BUFFERS, PubSubParams, build_pubsub_net, set_factor
 from .reachability import DEFAULT_MAX_STATES, InvalidNetError, StateExplosionError
 from .simulator import estimate_metrics
@@ -120,7 +122,7 @@ def cmd_simulate(args) -> int:
 
     try:
         report = solve_model(net, max_states=args.max_states)[2]
-    except (StateExplosionError, ChainStructureError, ConvergenceError):
+    except (StateExplosionError, TokenOverflowError, ChainStructureError, ConvergenceError):
         pass  # no analytic values: the estimates are printed alone
     else:
         analytic = {
@@ -204,7 +206,9 @@ def main(argv=None) -> int:
     except (files.FormatError, InvalidNetError, ValueError, KeyError, OSError) as exc:
         print(f"spnperf: error: {exc}", file=sys.stderr)
         return 2
-    except (StateExplosionError, ChainStructureError, ConvergenceError) as exc:
+    except (
+        StateExplosionError, TokenOverflowError, ChainStructureError, ConvergenceError
+    ) as exc:
         print(f"spnperf: analysis failed: {exc}", file=sys.stderr)
         return 3
 

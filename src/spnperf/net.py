@@ -44,6 +44,10 @@ class NotEnabledError(SpnError):
     """Attempt to fire or rate a transition that is not enabled."""
 
 
+class TokenOverflowError(SpnError):
+    """A firing took a place past 2**63 - 1 tokens, where its int64 count wraps."""
+
+
 def is_count(value) -> bool:
     """A whole number: a Python ``int`` but not a ``bool`` (JSON true is no count),
     within int64, in which markings and arc weights are stored."""
@@ -238,6 +242,16 @@ def validate_net(net: SpnNet) -> list[str]:
     return violations
 
 
+def _refuse_wrapped(net: SpnNet, block: np.ndarray) -> None:
+    # an enabled firing never takes a place below 0, so a negative count in
+    # a block of markings can only be one that wrapped past 2**63 - 1
+    if block.size and block.min() < 0:
+        place = net.places[int(np.flatnonzero((block < 0).any(axis=0))[0])].name
+        raise TokenOverflowError(
+            f"place {place!r} went past 2**63 - 1 tokens, where its int64 count wraps"
+        )
+
+
 def enabling_degree(net: SpnNet, markings) -> np.ndarray:
     """The firing kernel: the enabling degree of every transition in a block of markings.
 
@@ -248,13 +262,14 @@ def enabling_degree(net: SpnNet, markings) -> np.ndarray:
     only the ones of maximal priority in the row remain enabled.  An
     enabled single-server transition, or one without inputs, has degree 1;
     an enabled infinite-server transition has the least ``tokens // weight``
-    over its input arcs.
+    over its input arcs.  A negative count raises ``TokenOverflowError``.
     """
     m = np.asarray(markings, dtype=np.int64)
     if m.ndim != 2 or m.shape[1] != net.n_places:
         raise DimensionError(
             f"marking block shape {m.shape} does not match {net.n_places} places"
         )
+    _refuse_wrapped(net, m)
     arcs = net._kernel_columns
     enabled = np.ones((m.shape[0], net.n_transitions), dtype=bool)
     rows, k = np.nonzero(m[:, arcs.in_place] < arcs.in_weight)
@@ -309,7 +324,9 @@ def fire(net: SpnNet, m: Marking, t: int) -> Marking:
     """Fire transition ``t`` in marking ``m`` and return the successor marking."""
     if not _single(net, m)[0][t]:
         raise _not_enabled(net, m, t)
-    return tuple((np.asarray(m, dtype=np.int64) + net.delta[t]).tolist())
+    successor = np.asarray(m, dtype=np.int64) + net.delta[t]
+    _refuse_wrapped(net, successor[None, :])
+    return tuple(successor.tolist())
 
 
 def rate_at(net: SpnNet, m: Marking, t: int) -> float:

@@ -19,7 +19,9 @@ row id and an entry: its row, its enabled transitions, their scales and
 links to its successors' entries.  The links are resolved on the entry's
 first visit, and the successors that are new to the table are asked of the
 firing kernel as one block.  An event only races the scales, records its
-row, its time and the transition that fired, and follows a link.
+row, its time and the transition that fired, and follows a link.  A visit
+that leaves fewer free entries than the net has transitions makes the run
+refill early, drawing nothing: it reduces, empties the table and goes on.
 
 Token time and firing counts are reduced once per draw block, over the
 events recorded since the last one.  Event i's span is
@@ -66,8 +68,8 @@ class SimulationEstimate:
 #: standard exponentials drawn at a time by each run
 DRAW_BLOCK = 4096
 #: markings a marking table holds (about 0.9 kB each, row buffer included,
-#: for the 18-place pub/sub net); markings found once it is full are
-#: computed at every visit
+#: for the 18-place pub/sub net); a run that fills it empties it.  The rows
+#: are allocated once, and rows never written are never paged in
 MARKING_CACHE_LIMIT = 10_000
 
 
@@ -99,61 +101,45 @@ class _MarkingTable:
 
     ``row`` indexes ``marks``, the markings as int64 rows.  ``links`` is
     None until the entry's first visit, then the successors' entries in
-    ``enabled`` order.  At most ``MARKING_CACHE_LIMIT`` markings are
-    entered; a successor found once the table is full is linked as a stub
-    ``[marking, None, None, None]``, and each visit to a stub makes a
-    run-local entry whose row lies past the table's own.  No entered entry
-    links to a run-local one, so the table stays at its cap.
+    ``enabled`` order.  ``simulate_run`` keeps the table within
+    ``MARKING_CACHE_LIMIT`` markings by emptying it with ``restart``.
     """
 
-    __slots__ = ("net", "entries", "marks", "local")
+    __slots__ = ("net", "entries", "marks")
 
     def __init__(self, net: SpnNet):
         self.net = net
         self.entries = {}
-        self.marks = np.empty((64, net.n_places), dtype=np.int64)
-        self.local = 0  # run-local rows in use since the last reduction
+        # a run may start on a full table; a visit enters <= n_transitions
+        rows = max(MARKING_CACHE_LIMIT, net.n_transitions) + 1
+        self.marks = np.empty((rows, net.n_places), dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _store(self, row: int, m) -> None:
-        if row >= len(self.marks):
-            grown = np.empty((max(2 * len(self.marks), row + 1), self.net.n_places), np.int64)
-            grown[: len(self.marks)] = self.marks
-            self.marks = grown
-        self.marks[row] = m
-
     def enter(self, markings) -> list:
-        """Entries for markings the table lacks: entered while it has room,
-        from one kernel call, and stubs past its cap."""
-        room = max(MARKING_CACHE_LIMIT - len(self.entries), 0)
-        fit = markings[:room]
+        """Entries for markings the table lacks, from one kernel call."""
         out = []
-        for m, (enabled, scales) in zip(fit, _event_entries(self.net, fit) if fit else ()):
+        for m, (enabled, scales) in zip(markings, _event_entries(self.net, markings)):
             row = len(self.entries)
-            self._store(row, m)
+            self.marks[row] = m
             entry = self.entries[m] = [row, enabled, scales, None]
             out.append(entry)
-        return out + [[m, None, None, None] for m in markings[room:]]
+        return out
 
     def visit(self, entry: list) -> list:
-        """``entry`` with its links resolved: an entered entry is resolved in
-        place, once; a stub gives a new run-local entry."""
-        get = self.entries.get
-        if entry[1] is None:
-            m = entry[0]
-            ((enabled, scales),) = _event_entries(self.net, [m])
-            row = len(self.entries) + self.local
-            self.local += 1
-            self._store(row, m)
-            links = [get(s) or [s, None, None, None] for s in _successors(self.net, m, enabled)]
-            return [row, enabled, scales, links]
+        """Resolve ``entry``'s links in place, and return them."""
         successors = _successors(self.net, self.marks[entry[0]], entry[1])
         new = [m for m in dict.fromkeys(successors) if m not in self.entries]
-        found = dict(zip(new, self.enter(new)))
-        entry[3] = [get(m) or found[m] for m in successors]
-        return entry
+        if new:
+            self.enter(new)
+        entry[3] = [self.entries[m] for m in successors]
+        return entry[3]
+
+    def restart(self, entry: list) -> list:
+        """Empty the table and enter ``entry``'s marking again."""
+        self.entries = {}
+        return self.enter([tuple(self.marks[entry[0]].tolist())])[0]
 
 
 def _reduce(marks, rows, times, fired, start, warmup, horizon, token_time, counts):
@@ -224,8 +210,8 @@ def simulate_run(
 
     while True:
         if pos > last:
-            # reduce the events so far, then draw; before the entry is
-            # visited, so no run-local row is reused while still recorded
+            # reduce the events so far, then draw; a full table is emptied
+            # only here, so no row is reused while still recorded
             if times:
                 token_time = _reduce(
                     table.marks, rows, times, fired, start, warmup, horizon, token_time, counts
@@ -234,7 +220,8 @@ def simulate_run(
                 rows.clear()
                 times.clear()
                 fired.clear()
-            table.local = 0
+            if len(table) + n_max > MARKING_CACHE_LIMIT:
+                entry = table.restart(entry)
             draws = draws[pos:]
             pos = 0
             while len(draws) < n_max:
@@ -242,8 +229,9 @@ def simulate_run(
             last = len(draws) - n_max
         row, enabled, scales, links = entry
         if links is None:
-            entry = table.visit(entry)
-            row, enabled, scales, links = entry
+            links = table.visit(entry)
+            if len(table) + n_max > MARKING_CACHE_LIMIT:
+                last = -1  # too full for the next visit: refill early
         n = len(scales)
         if not n:
             # a deadlocked marking's next event is at +inf: it holds to the horizon

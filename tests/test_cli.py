@@ -206,6 +206,21 @@ def test_analyze_explosion_exits_3(params_file, capsys):
     assert "max_states" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("analyze",), ("simulate", "--horizon", "5", "--replications", "2", "--warmup", "0")]
+)
+def test_a_firing_past_int64_exits_3(tmp_path, capsys, argv):
+    # each firing adds 2 tokens to 2**63 - 2: the first wraps the int64 count
+    net = simple_net(
+        [("p", 2**63 - 2)], [("t", 1.0)], [("p", "t", "pre", 1), ("p", "t", "post", 3)]
+    )
+    path = write_net(tmp_path, net)
+    code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+    assert code == 3
+    assert out == ""
+    assert "place 'p' went past 2**63 - 1 tokens" in err
+
+
 def test_analyze_exits_3_when_the_direct_solve_does_not_fit(tmp_path, capsys, monkeypatch):
     # 2,100 states: the dense array of the direct solve needs 8 * 2100**2
     # bytes, over DIRECT_MAX_BYTES, so auto refuses once the sweeps run out

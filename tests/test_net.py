@@ -9,8 +9,10 @@ from spnperf.net import (
     NotEnabledError,
     Place,
     SpnNet,
+    TokenOverflowError,
     Transition,
     enabled_transitions,
+    enabling_degree,
     fire,
     rate_at,
     validate_net,
@@ -123,6 +125,20 @@ def test_fire_disabled_raises():
     net = simple_net([("p", 0)], [("t", 1.0)], [("p", "t", "pre", 1)])
     with pytest.raises(NotEnabledError):
         fire(net, (0,), 0)
+
+
+def test_a_count_past_int64_is_refused():
+    # 2**63 - 2 + 2 wraps to -2**63: fire refuses to return it, and the
+    # kernel refuses a block holding it; an empty block stays valid
+    net = simple_net(
+        [("q", 0), ("p", 2**63 - 2)], [("t", 1.0)], [("p", "t", "pre", 1), ("p", "t", "post", 3)]
+    )
+    with pytest.raises(TokenOverflowError, match="place 'p' went past 2\\*\\*63 - 1 tokens"):
+        fire(net, net.initial_marking(), 0)
+    block = np.array([[0, 5], [0, -(2**63)]], dtype=np.int64)
+    with pytest.raises(TokenOverflowError, match="place 'p'"):
+        enabling_degree(net, block)
+    assert enabling_degree(net, block[:0]).shape == (0, 1)
 
 
 def test_single_server_rate_is_marking_independent():

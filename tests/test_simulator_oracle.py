@@ -217,9 +217,22 @@ def test_mm1k_estimate_shares_one_cache_per_call(monkeypatch):
     assert caches[3] is caches[4] and caches[3] is not caches[0]
 
 
+def spy_restarts(monkeypatch):
+    # the marking table's size at each restart, which empties it
+    seen = []
+    real_restart = simulator._MarkingTable.restart
+
+    def spy(table, entry):
+        seen.append(len(table))
+        return real_restart(table, entry)
+
+    monkeypatch.setattr(simulator._MarkingTable, "restart", spy)
+    return seen
+
+
 def test_unbounded_net_keeps_the_cache_at_its_cap(monkeypatch):
     # the mint net visits a new marking at every event, so the cache fills
-    # up and the rest of the markings are computed per visit
+    # up, is emptied and fills again
     limit = 40
     monkeypatch.setattr(simulator, "MARKING_CACHE_LIMIT", limit)
     sizes = []
@@ -234,9 +247,41 @@ def test_unbounded_net_keeps_the_cache_at_its_cap(monkeypatch):
     args = (net, 200.0, 20.0, 4, 3)
     expected = oracle_estimate(monkeypatch, *args)
     monkeypatch.setattr(simulator, "simulate_run", spy)
+    restarts = spy_restarts(monkeypatch)
     assert estimate_metrics(*args) == expected
-    assert sizes == [limit] * 4
+    assert len(sizes) == 4 and max(sizes) <= limit
+    assert restarts
     assert expected.metrics["mean_tokens:p"][0] > 2 * limit
+
+
+def test_a_bounded_net_restarts_its_full_table(monkeypatch):
+    # room for 100 of the pub/sub net's 1,260 markings: the table is emptied
+    # again and again, and the runs come back to markings they have seen
+    limit = 100
+    monkeypatch.setattr(simulator, "MARKING_CACHE_LIMIT", limit)
+    sizes = []
+    real_visit = simulator._MarkingTable.visit
+
+    def spy(table, entry):
+        links = real_visit(table, entry)
+        sizes.append(len(table))
+        return links
+
+    args = (build_pubsub_net(PubSubParams()), 1000.0, None, 4, 987)
+    expected = oracle_estimate(monkeypatch, *args)
+    restarts = spy_restarts(monkeypatch)
+    monkeypatch.setattr(simulator._MarkingTable, "visit", spy)
+    assert estimate_metrics(*args) == expected
+    assert restarts and max(restarts) <= limit
+    assert len(sizes) > len(restarts) and max(sizes) <= limit
+
+
+def test_a_cap_below_the_transition_count_equals_the_oracle(monkeypatch):
+    # a visit may enter 13 pub/sub markings into a table with room for 1:
+    # the table is emptied at the next event, every event
+    monkeypatch.setattr(simulator, "MARKING_CACHE_LIMIT", 1)
+    args = (build_pubsub_net(PubSubParams()), 50.0, None, 2, 5)
+    assert estimate_metrics(*args) == oracle_estimate(monkeypatch, *args)
 
 
 def spy_reductions(monkeypatch):
@@ -270,11 +315,10 @@ def test_small_draw_blocks_equal_the_oracle(monkeypatch, name):
         assert len(sizes) > 300 and max(sizes) <= 7 + net.n_transitions
 
 
-def test_small_draw_blocks_reuse_run_local_rows(monkeypatch):
-    # past the cap of 40 each mint-net event meets a new run-local marking;
-    # their rows are reused after every reduction, each 7 events or so, so
-    # the table holds 40 rows and at most 8 run-local ones (its row buffer
-    # grows by doubling)
+def test_small_draw_blocks_restart_a_full_table(monkeypatch):
+    # each mint-net event meets a new marking, so the table of 40 fills and
+    # is emptied at a refill, each 7 events or so, after the reduction that
+    # reads its rows; its row buffer is allocated once, with 41 rows
     monkeypatch.setattr(simulator, "DRAW_BLOCK", 7)
     monkeypatch.setattr(simulator, "MARKING_CACHE_LIMIT", 40)
     seen = spy_reductions(monkeypatch)
