@@ -1,8 +1,8 @@
 """Command-line surface: analyze, sweep, simulate, monitor, export-net.
 
-Exit codes: 0 success, 2 invalid input (schema, validation, arguments),
-3 analysis failure (state explosion, token overflow, reducible chain, no
-convergence).
+Exit codes: 0 success, 2 invalid input (schema, an invalid net or value,
+arguments), 3 analysis failure, any ``AnalysisError`` (state explosion,
+token overflow, reducible chain, no convergence).
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ import sys
 
 from . import files
 from .monitor import run_loop, solve_model
-from .net import TokenOverflowError
+from .net import AnalysisError, InvalidNetError
 from .pubsub import FACTOR_NAMES, NETWORK_BUFFERS, PubSubParams, build_pubsub_net, set_factor
-from .reachability import DEFAULT_MAX_STATES, InvalidNetError, StateExplosionError
+from .reachability import DEFAULT_MAX_STATES
 from .simulator import estimate_metrics
-from .solver import ChainStructureError, ConvergenceError
 
 # Not called here: perfbench/tracing.py times each layer by patching these
 # names in this module, so they must stay importable from it.
@@ -122,7 +121,7 @@ def cmd_simulate(args) -> int:
 
     try:
         report = solve_model(net, max_states=args.max_states)[2]
-    except (StateExplosionError, TokenOverflowError, ChainStructureError, ConvergenceError):
+    except AnalysisError:
         pass  # no analytic values: the estimates are printed alone
     else:
         analytic = {
@@ -206,9 +205,7 @@ def main(argv=None) -> int:
     except (files.FormatError, InvalidNetError, ValueError, KeyError, OSError) as exc:
         print(f"spnperf: error: {exc}", file=sys.stderr)
         return 2
-    except (
-        StateExplosionError, TokenOverflowError, ChainStructureError, ConvergenceError
-    ) as exc:
+    except AnalysisError as exc:
         print(f"spnperf: analysis failed: {exc}", file=sys.stderr)
         return 3
 

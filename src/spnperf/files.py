@@ -2,12 +2,12 @@
 
 Loaders check only the JSON shape: required and unknown keys, no key
 repeated within an object, lists and objects where the format has them,
-arc references to node names, and no listed arc of weight 0, which the
-weight matrices would hold as no arc.
-Every value is checked by the object it builds (``validate_net`` and
-``SpnNet`` for nets, ``PubSubParams``, ``MonitorPolicy``,
-``WorkloadSnapshot``), whose ``ValueError`` becomes a ``FormatError``.  So
-a Python caller is refused exactly what a document is.
+arc references to node names, and no listed arc of weight below 1, which
+the weight matrices would hold as no arc or refuse without naming the arc.
+Every value is checked by the object it builds (``SpnNet`` for nets,
+``PubSubParams``, ``MonitorPolicy``, ``WorkloadSnapshot``), whose
+``ValueError`` or ``InvalidNetError`` becomes a ``FormatError``.  So a
+Python caller is refused exactly what a document is.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import MISSING
 import numpy as np
 
 from .monitor import DecisionRecord, MonitorPolicy, WorkloadSnapshot
-from .net import Place, SpnNet, Transition, is_count, validate_net
+from .net import InvalidNetError, Place, SpnNet, Transition, is_count
 from .pubsub import PubSubParams
 from .simulator import SimulationEstimate
 from .solver import MetricsReport
@@ -94,10 +94,10 @@ def net_from_document(doc: dict) -> SpnNet:
     kinds = ("pre", "post", "inhibitor")  # `in` a tuple compares; a dict would hash a list
     mats = {kind: np.zeros((len(places), len(transitions)), dtype=object) for kind in kinds}
     # the nodes are checked before any arc is resolved against their names
-    net = SpnNet(places, transitions, mats["pre"], mats["post"])
-    violations = validate_net(net)
-    if violations:
-        raise FormatError("invalid net: " + "; ".join(violations))
+    try:
+        net = SpnNet(places, transitions, mats["pre"], mats["post"])
+    except InvalidNetError as exc:
+        raise FormatError(str(exc)) from exc
     pidx = {p.name: i for i, p in enumerate(places)}
     tidx = {t.name: i for i, t in enumerate(transitions)}
     seen = set()
@@ -116,10 +116,10 @@ def net_from_document(doc: dict) -> SpnNet:
             )
         seen.add(arc)
         weight = entry.get("weight", 1)
-        if is_count(weight) and weight == 0:  # SpnNet refuses a negative one
+        if is_count(weight) and weight < 1:
             raise FormatError(
                 f"{entry['kind']} arc {entry['place']!r} -> {entry['transition']!r}"
-                " has weight 0; an arc's weight is at least 1"
+                f" has weight {weight}; an arc's weight is at least 1"
             )
         mats[entry["kind"]][p, t] = weight
     try:

@@ -13,7 +13,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
-from .net import SpnError, is_count, is_real
+from .net import AnalysisError, is_count, is_real
 from .pubsub import (
     NETWORK_BUFFERS,
     QOS_LEVEL_RATE_FACTOR,
@@ -254,7 +254,7 @@ def run_loop(
                 candidate, cand_level = apply_action(candidate, policy, action, cand_level)
                 actions.append(action)
                 report = evaluate(candidate, max_states=max_states)
-        except SpnError:
+        except AnalysisError:
             records.append(
                 DecisionRecord(snap.timestamp, before, None, tuple(actions), EVALUATION_FAILED)
             )

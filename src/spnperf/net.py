@@ -44,7 +44,19 @@ class NotEnabledError(SpnError):
     """Attempt to fire or rate a transition that is not enabled."""
 
 
-class TokenOverflowError(SpnError):
+class InvalidNetError(SpnError):
+    """A net fails ``validate_net``; ``SpnNet`` refuses to build it."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__("invalid net: " + "; ".join(self.violations))
+
+
+class AnalysisError(SpnError):
+    """A valid model whose analysis failed: the CLI's exit 3."""
+
+
+class TokenOverflowError(AnalysisError):
     """A firing took a place past 2**63 - 1 tokens, where its int64 count wraps."""
 
 
@@ -73,17 +85,22 @@ class Transition:
     semantics: str = SINGLE_SERVER
 
 
-def _frozen_int_matrix(m, shape, label) -> np.ndarray:
-    # an integer array converts as is; anything else is checked element by
-    # element, since numpy would truncate 1.5 and turn [[True, 1]] into int64
-    exact = isinstance(m, np.ndarray) and np.issubdtype(m.dtype, np.integer)
-    a = np.asarray(m, dtype=None if exact else object)
-    if a.shape != shape:
-        raise DimensionError(f"matrix shape {a.shape} != expected {shape}")
+def int_array(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array.  A numpy integer array converts as is;
+    anything else must hold counts only, since numpy would truncate 1.5 and
+    turn True into 1: otherwise ``ValueError`` names the first other value."""
+    exact = isinstance(values, np.ndarray) and np.issubdtype(values.dtype, np.integer)
+    a = np.asarray(values, dtype=None if exact else object)
     bad = [] if exact else [v for v in a.flat if not is_count(v)]
     if bad:
-        raise ValueError(f"{label} arc weights must be integers, got {bad[0]!r}")
-    a = a.astype(np.int64)
+        raise ValueError(f"{what} must be integers, got {bad[0]!r}")
+    return a.astype(np.int64)
+
+
+def _frozen_int_matrix(m, shape, label) -> np.ndarray:
+    a = int_array(m, f"{label} arc weights")
+    if a.shape != shape:
+        raise DimensionError(f"matrix shape {a.shape} != expected {shape}")
     if (a < 0).any():
         raise ValueError(f"negative entries in {label} matrix")
     a.setflags(write=False)
@@ -95,7 +112,9 @@ class SpnNet:
     """Immutable stochastic Petri net.
 
     ``pre``, ``post`` and ``inh`` are (n_places, n_transitions) integer
-    matrices.  ``inh`` defaults to all zeros (no inhibitor arcs).
+    matrices.  ``inh`` defaults to all zeros (no inhibitor arcs).  A net
+    that ``validate_net`` flags raises ``InvalidNetError`` when built, so
+    every ``SpnNet`` is valid.
     """
 
     places: tuple[Place, ...]
@@ -111,8 +130,10 @@ class SpnNet:
         inh = self.inh if self.inh is not None else np.zeros(shape, dtype=np.int64)
         for label, m in (("pre", self.pre), ("post", self.post), ("inh", inh)):
             object.__setattr__(self, label, _frozen_int_matrix(m, shape, label))
+        violations = validate_net(self)
+        if violations:
+            raise InvalidNetError(violations)
 
-    # built on first use: validate_net reports a name that is no string
     @cached_property
     def _place_index(self):
         return {p.name: i for i, p in enumerate(self.places)}
@@ -207,7 +228,9 @@ class _KernelColumns:
 
 
 def validate_net(net: SpnNet) -> list[str]:
-    """Return the list of invariant violations (empty list means the net is ok)."""
+    """Return the list of invariant violations (empty list means the net is ok).
+
+    ``SpnNet`` calls it when built and refuses a net with any violation."""
     violations = []
     if net.n_places < 1:
         violations.append("net has no places")

@@ -23,29 +23,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .net import (
-    Marking,
-    SpnNet,
-    SpnError,
-    enabling_degree,
-    is_count,
-    validate_net,
-)
+from .net import AnalysisError, Marking, SpnNet, enabling_degree, int_array, is_count
 
 DEFAULT_MAX_STATES = 1_000_000
 #: Frontier rows expanded per kernel call; bounds the kernel's temporaries.
 BLOCK_ROWS = 2048
 
 
-class InvalidNetError(SpnError):
-    """Exploration was asked to run on a net that fails validation."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("invalid net: " + "; ".join(self.violations))
-
-
-class StateExplosionError(SpnError):
+class StateExplosionError(AnalysisError):
     """State count exceeded the exploration bound."""
 
     def __init__(self, limit):
@@ -132,14 +117,10 @@ class Ctmc:
 def explore(net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctmc:
     """Enumerate all markings reachable from the initial marking.
 
-    Raises ``InvalidNetError`` for nets failing validation and
-    ``StateExplosionError`` once more than ``max_states`` distinct markings
-    have been found.  Deadlock markings are recorded, not rejected.
+    Raises ``StateExplosionError`` once more than ``max_states`` distinct
+    markings have been found.  Deadlock markings are recorded, not rejected.
     """
     _check_max_states(max_states)
-    violations = validate_net(net)
-    if violations:
-        raise InvalidNetError(violations)
 
     # the initial marking is always kept, so the bound bites from state 2 on
     limit = max(max_states, 1)
@@ -221,14 +202,10 @@ def rerate(ctmc: Ctmc, net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctm
     semantics.  Otherwise the result shares every array of ``ctmc``, and
     its ``structure_memo``, and derives its own ``rate``, so it equals
     ``explore(net, max_states)`` exactly.
-    Like ``explore``, raises ``InvalidNetError`` for a net failing
-    validation and ``StateExplosionError`` for a chain of more than
-    ``max_states`` states.
+    Like ``explore``, raises ``StateExplosionError`` for a chain of more
+    than ``max_states`` states.
     """
     _check_max_states(max_states)
-    violations = validate_net(net)
-    if violations:
-        raise InvalidNetError(violations)
     if not _same_structure(ctmc.net, net):
         return None
     if ctmc.n_states > max(max_states, 1):
@@ -241,9 +218,13 @@ def check_place_invariant(ctmc: Ctmc, weights, expected: int):
 
     Returns ``None`` when every state ``s`` satisfies
     ``sum_p weights[p] * s[p] == expected``, otherwise the first violating
-    marking in state order.
+    marking in state order.  The weights are a numpy integer array, as
+    ``p_invariants`` gives them, or counts, and ``expected`` is a count;
+    anything else raises ``ValueError``, since int64 would truncate 1.9.
     """
-    w = np.asarray(weights, dtype=np.int64)
+    w = int_array(weights, "place invariant weights")
+    if not is_count(expected):
+        raise ValueError(f"expected must be an integer, got {expected!r}")
     if w.shape != (ctmc.net.n_places,):
         raise ValueError(
             f"weight vector length {w.shape} does not match {ctmc.net.n_places} places"

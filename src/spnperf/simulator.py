@@ -42,8 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import SpnNet, enabled_rates, is_count, is_real, validate_net
-from .reachability import InvalidNetError
+from .net import SpnNet, enabled_rates, is_count, is_real
 
 
 @dataclass(frozen=True)
@@ -177,9 +176,6 @@ def simulate_run(
     marking for the remaining time.  ``_cache`` is the marking table
     ``estimate_metrics`` shares between its replications.
     """
-    violations = validate_net(net)
-    if violations:
-        raise InvalidNetError(violations)
     # True would run to 1.0: a time is a float or a count, nothing else
     if not is_real(horizon):
         raise ValueError(f"horizon must be a real number, got {horizon!r}")

@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .net import SpnError
+from .net import AnalysisError
 from .reachability import Ctmc
 
 DEFAULT_TOL = 1e-12
@@ -68,11 +68,11 @@ GTH_STATE_US = 16.0
 FLOP_US = 1.3e-4
 
 
-class ChainStructureError(SpnError):
+class ChainStructureError(AnalysisError):
     """The chain is not irreducible (deadlocks or several recurrent classes)."""
 
 
-class ConvergenceError(SpnError):
+class ConvergenceError(AnalysisError):
     """A solve did not reach ``DEFAULT_TOL`` with a non-negative, finite result.
 
     ``residual`` is the balance residual of the refused result, NaN for a

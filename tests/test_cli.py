@@ -795,6 +795,12 @@ def _set(path, value):
         (lambda doc: doc["arcs"].append(
             {"place": "Queue", "transition": "arrive", "kind": "inhibitor", "weight": 0}
         ), "inhibitor arc 'Queue' -> 'arrive' has weight 0"),
+        # the weight matrices refuse a negative weight without naming the arc
+        (_set(("arcs", 0, "weight"), -1), "pre arc 'Free' -> 'arrive' has weight -1"),
+        (_set(("arcs", 2, "weight"), -1), "post arc 'Free' -> 'serve' has weight -1"),
+        (lambda doc: doc["arcs"].append(
+            {"place": "Queue", "transition": "arrive", "kind": "inhibitor", "weight": -1}
+        ), "inhibitor arc 'Queue' -> 'arrive' has weight -1"),
     ],
 )
 def test_malformed_net_documents_exit_2(tmp_path, capsys, edit, message):
@@ -820,7 +826,6 @@ def test_a_net_document_must_be_an_object():
         (lambda doc: doc["transitions"].append(doc["transitions"][0]),
          "duplicate name: transition 'arrive'"),
         (_set(("transitions", 0, "priority"), -1), "negative priority"),
-        (_set(("arcs", 0, "weight"), -1), "negative entries in pre matrix"),
     ],
 )
 def test_analyze_refuses_an_invalid_net(tmp_path, capsys, edit, message):

@@ -1,5 +1,7 @@
-"""What importing the CLI costs and what the benchmark's tracer patches."""
+"""What importing the CLI costs, what the simulator imports and what the
+benchmark's tracer patches."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -126,6 +128,22 @@ def test_cli_commands_load_numpy_random_for_simulate_only_and_never_numpy_ma(tmp
     assert before == []
     assert "numpy.random" in after
     assert [m for m in after if m.split(".")[:2] != ["numpy", "random"]] == []
+
+
+def test_the_simulator_imports_only_the_net_from_the_package():
+    # the independent oracle shares the net and its firing kernel with the
+    # solver's pipeline, and nothing else: not reachability, not the solver
+    tree = ast.parse((ROOT / "src" / "spnperf" / "simulator.py").read_text(encoding="utf-8"))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        package.update(name for name in names if name.startswith((".", "spnperf")))
+    assert package == {".net"}
 
 
 def test_stdtrit_equals_t_ppf():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from spnperf.net import (
     INFINITE_SERVER,
     DimensionError,
+    InvalidNetError,
     NotEnabledError,
     Place,
     SpnNet,
@@ -26,19 +27,18 @@ def test_smallest_legal_net_is_ok():
 
 
 def test_zero_rate_is_a_violation():
-    net = SpnNet((Place("p", 1),), (Transition("t", 0.0),), [[1]], [[1]])
-    violations = validate_net(net)
-    assert any("non-positive rate" in v for v in violations)
+    with pytest.raises(InvalidNetError, match="non-positive rate"):
+        SpnNet((Place("p", 1),), (Transition("t", 0.0),), [[1]], [[1]])
 
 
 def test_duplicate_place_names_violate():
-    net = SpnNet(
-        (Place("p", 1), Place("p", 0)),
-        (Transition("t", 1.0),),
-        [[1], [0]],
-        [[0], [1]],
-    )
-    assert any("duplicate name" in v for v in validate_net(net))
+    with pytest.raises(InvalidNetError, match="duplicate name"):
+        SpnNet(
+            (Place("p", 1), Place("p", 0)),
+            (Transition("t", 1.0),),
+            [[1], [0]],
+            [[0], [1]],
+        )
 
 
 def test_enabled_empty_when_tokens_insufficient():
@@ -62,11 +62,10 @@ def test_priority_masks_lower_priority_transitions():
 
 @pytest.mark.parametrize(
     "priorities, masks",
-    [((), False), ((3,), False), ((1, 1, 1), False), ((0, 2, 2), True), ((2, 2, 0), True)],
+    [((3,), False), ((1, 1, 1), False), ((0, 2, 2), True), ((2, 2, 0), True)],
 )
 def test_kernel_keeps_priorities_only_when_they_differ(priorities, masks):
-    # all-equal priorities mask nothing, so the kernel drops them; a net
-    # without transitions has no priorities to compare
+    # all-equal priorities mask nothing, so the kernel drops them
     net = simple_net(
         [("p", 1)],
         [(f"t{j}", 1.0, prio) for j, prio in enumerate(priorities)],
@@ -76,7 +75,7 @@ def test_kernel_keeps_priorities_only_when_they_differ(priorities, masks):
     assert (prio is not None) == masks
     if masks:
         assert prio.tolist() == list(priorities)
-    top = max(priorities, default=0)
+    top = max(priorities)
     assert enabled_transitions(net, (1,)) == tuple(
         j for j, p in enumerate(priorities) if p == top
     )
@@ -211,12 +210,8 @@ def test_fire_never_goes_negative_and_priorities_are_uniform(case):
 )
 def test_fractional_tokens_and_priorities_are_violations(place, transition, word):
     # explore used to truncate both: 2.5 tokens became 2, priority 0.5 became 0
-    from spnperf.reachability import InvalidNetError, explore
-
-    net = SpnNet((place,), (transition,), [[1]], [[1]])
-    assert any(word in v for v in validate_net(net))
     with pytest.raises(InvalidNetError, match=word):
-        explore(net)
+        SpnNet((place,), (transition,), [[1]], [[1]])
 
 
 @pytest.mark.parametrize("weight", [1.5, True])
@@ -227,6 +222,14 @@ def test_matrix_weights_must_be_integers(weight):
                [[weight, 1]], [[1, 1]])
     with pytest.raises(ValueError, match="weight"):
         SpnNet((Place("a", 1),), (Transition("t", 1.0),), [[1]], [[weight]])
+
+
+@pytest.mark.parametrize("label", ["pre", "post", "inh"])
+def test_negative_matrix_weights_are_refused(label):
+    # a net document never gets here: its loader names the arc first
+    mats = {"pre": [[1]], "post": [[1]], "inh": [[0]], label: [[-1]]}
+    with pytest.raises(ValueError, match=f"^negative entries in {label} matrix$"):
+        SpnNet((Place("a", 1),), (Transition("t", 1.0),), **mats)
 
 
 def test_integer_arrays_and_lists_stay_legal():

@@ -1,16 +1,16 @@
 import re
 
+import numpy as np
 import pytest
 
-from spnperf.net import Place, SpnNet, Transition
+from spnperf.net import InvalidNetError, Place, SpnNet, Transition
 from spnperf.reachability import (
-    InvalidNetError,
     StateExplosionError,
     check_place_invariant,
     explore,
     rerate,
 )
-from nets import producer_consumer_net, self_loop_net, simple_net
+from nets import mm1k_net, producer_consumer_net, self_loop_net, simple_net
 
 
 def test_self_loop_gives_one_state_one_edge():
@@ -78,9 +78,8 @@ def test_deadlock_recorded_not_fatal():
 
 
 def test_invalid_net_rejected():
-    bad = SpnNet((Place("p", 1),), (Transition("t", 0.0),), [[1]], [[1]])
     with pytest.raises(InvalidNetError):
-        explore(bad)
+        SpnNet((Place("p", 1),), (Transition("t", 0.0),), [[1]], [[1]])
 
 
 def test_explosion_error():
@@ -116,6 +115,25 @@ def test_place_invariant_violation_reports_first_state():
 def test_place_invariant_on_self_loop():
     ctmc = explore(self_loop_net())
     assert check_place_invariant(ctmc, [1], 1) is None
+
+
+@pytest.mark.parametrize(
+    "weights, expected, bad",
+    [([1.9, 1.2], 2, "1.9"), (["1", "1"], 2, "'1'"), ([True, True], 2, "True"),
+     ([1, 1], 2.0, "2.0"), ([1, 1], True, "True")],
+)
+def test_place_invariant_weights_are_refused_not_truncated(weights, expected, bad):
+    # int64 made [1.9, 1.2] the law Free + Queue = 2, which holds on M/M/1/2
+    ctmc = explore(mm1k_net(1.0, 2.0, 2))
+    with pytest.raises(ValueError, match=f"got {re.escape(bad)}$"):
+        check_place_invariant(ctmc, weights, expected)
+
+
+def test_place_invariant_takes_integer_arrays_and_negative_weights():
+    ctmc = explore(mm1k_net(1.0, 2.0, 2))
+    assert check_place_invariant(ctmc, np.array([1, 1], dtype=np.int32), 2) is None
+    assert check_place_invariant(ctmc, [-1, -1], -2) is None
+    assert check_place_invariant(ctmc, [1, -1], 2) == (1, 1)
 
 
 def test_every_nonzero_state_is_a_fire_image():

@@ -183,11 +183,10 @@ def test_default_metrics_cover_all_nodes():
 
 
 def test_invalid_net_is_refused():
-    from spnperf.reachability import InvalidNetError
+    from spnperf.net import InvalidNetError
 
-    net = simple_net([("p", -1)], [("t", 1.0)], [("p", "t", "pre", 1)])
     with pytest.raises(InvalidNetError, match="negative initial tokens"):
-        simulate_run(net, horizon=10.0)
+        simple_net([("p", -1)], [("t", 1.0)], [("p", "t", "pre", 1)])
 
 
 @pytest.mark.parametrize("horizon", [True, "10", None])
