@@ -62,7 +62,13 @@ def test_priority_masks_lower_priority_transitions():
 
 @pytest.mark.parametrize(
     "priorities, masks",
-    [((3,), False), ((1, 1, 1), False), ((0, 2, 2), True), ((2, 2, 0), True)],
+    # explicit ids keep each case's name stable when a case is added or dropped
+    [
+        pytest.param((3,), False, id="priorities1-False"),
+        pytest.param((1, 1, 1), False, id="priorities2-False"),
+        pytest.param((0, 2, 2), True, id="priorities3-True"),
+        pytest.param((2, 2, 0), True, id="priorities4-True"),
+    ],
 )
 def test_kernel_keeps_priorities_only_when_they_differ(priorities, masks):
     # all-equal priorities mask nothing, so the kernel drops them
