@@ -10,7 +10,6 @@ from .net import (
     enabled_transitions,
     fire,
     rate_at,
-    validate_net,
 )
 from .reachability import Ctmc, check_place_invariant, explore
 from .solver import (

@@ -63,6 +63,8 @@ def cmd_analyze(args) -> int:
     doc["states"] = ctmc.n_states
     doc["residual"] = dist.residual
     doc["balance_residual"] = dist.balance_residual
+    doc["method"] = dist.method
+    doc["iterations"] = dist.iterations
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 

@@ -45,7 +45,7 @@ class NotEnabledError(SpnError):
 
 
 class InvalidNetError(SpnError):
-    """A net fails ``validate_net``; ``SpnNet`` refuses to build it."""
+    """``SpnNet`` refuses to build a net: ``violations`` lists what is wrong."""
 
     def __init__(self, violations):
         self.violations = list(violations)
@@ -113,8 +113,8 @@ class SpnNet:
 
     ``pre``, ``post`` and ``inh`` are (n_places, n_transitions) integer
     matrices.  ``inh`` defaults to all zeros (no inhibitor arcs).  A net
-    that ``validate_net`` flags raises ``InvalidNetError`` when built, so
-    every ``SpnNet`` is valid.
+    with an invalid name, token count, rate, priority or semantics raises
+    ``InvalidNetError`` when built, so every ``SpnNet`` is valid.
     """
 
     places: tuple[Place, ...]
@@ -130,7 +130,7 @@ class SpnNet:
         inh = self.inh if self.inh is not None else np.zeros(shape, dtype=np.int64)
         for label, m in (("pre", self.pre), ("post", self.post), ("inh", inh)):
             object.__setattr__(self, label, _frozen_int_matrix(m, shape, label))
-        violations = validate_net(self)
+        violations = _violations(self)
         if violations:
             raise InvalidNetError(violations)
 
@@ -164,6 +164,18 @@ class SpnNet:
 
     def initial_marking(self) -> Marking:
         return tuple(p.tokens for p in self.places)
+
+    @cached_property
+    def structure(self) -> tuple:
+        """Everything but the rates that decides the reachability graph, as
+        a hashable key: the initial marking, each transition's priority and
+        semantics, and the shape and bytes of ``pre``, ``post`` and ``inh``,
+        but no names.  ``reachability.rerate`` reuses a chain on it."""
+        return (
+            self.initial_marking(),
+            tuple((t.priority, t.semantics) for t in self.transitions),
+            self.pre.shape, self.pre.tobytes(), self.post.tobytes(), self.inh.tobytes(),
+        )
 
     @cached_property
     def delta(self) -> np.ndarray:
@@ -227,10 +239,8 @@ class _KernelColumns:
     infinite_first: np.ndarray
 
 
-def validate_net(net: SpnNet) -> list[str]:
-    """Return the list of invariant violations (empty list means the net is ok).
-
-    ``SpnNet`` calls it when built and refuses a net with any violation."""
+def _violations(net: SpnNet) -> list[str]:
+    # what SpnNet refuses a net for, once its matrices are checked
     violations = []
     if net.n_places < 1:
         violations.append("net has no places")

@@ -9,8 +9,8 @@ transition) order, which is the order a scalar FIFO search visits them.
 
 Each edge keeps the enabling degree of its transition in its source
 marking, and its rate is the transition's base rate times that degree.
-Rates never decide which markings are reachable, so a net that differs
-from an explored one only in its transition rates has the same states and
+Rates never decide which markings are reachable, so a net whose
+``SpnNet.structure`` equals an explored one's has the same states and
 edges: ``rerate`` builds its chain from the explored one with the new net,
 without a search, and the chain derives its rates from that net.
 """
@@ -177,36 +177,19 @@ def explore(net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctmc:
     )
 
 
-def _same_structure(a: SpnNet, b: SpnNet) -> bool:
-    # everything but the rates that decides the reachability graph
-    return (
-        a.n_places == b.n_places
-        and a.n_transitions == b.n_transitions
-        and a.initial_marking() == b.initial_marking()
-        and all(
-            (s.priority, s.semantics) == (t.priority, t.semantics)
-            for s, t in zip(a.transitions, b.transitions)
-        )
-        and all(
-            np.array_equal(x, y) for x, y in ((a.pre, b.pre), (a.post, b.post), (a.inh, b.inh))
-        )
-    )
-
-
 def rerate(ctmc: Ctmc, net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctmc | None:
     """The chain of ``net`` from the explored chain ``ctmc`` of a net of the same structure.
 
-    Returns ``None`` unless ``net`` differs from ``ctmc.net`` only in its
-    transition rates: the same place and transition counts, initial
-    marking, ``pre``, ``post`` and ``inh`` arrays, priorities and
-    semantics.  Otherwise the result shares every array of ``ctmc``, and
-    its ``structure_memo``, and derives its own ``rate``, so it equals
+    Returns ``None`` unless ``net.structure`` equals ``ctmc.net.structure``,
+    the key of everything but the rates that decides the states and edges.
+    Otherwise the result shares every array of ``ctmc``, and its
+    ``structure_memo``, and derives its own ``rate``, so it equals
     ``explore(net, max_states)`` exactly.
     Like ``explore``, raises ``StateExplosionError`` for a chain of more
     than ``max_states`` states.
     """
     _check_max_states(max_states)
-    if not _same_structure(ctmc.net, net):
+    if ctmc.net.structure != net.structure:
         return None
     if ctmc.n_states > max(max_states, 1):
         raise StateExplosionError(max_states)

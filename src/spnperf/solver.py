@@ -345,7 +345,7 @@ def _eliminate(a: np.ndarray, start: np.ndarray):
             rows[k - 1] += np.dot(g[k, k + 1 :], rows[k:])
             cols[k - 1] += np.dot(g[k + 1 :, k], cols[k:])
             cols[k - 1] /= pivot[k]
-        a[blk, win], a[win, blk] = rows, cols.T
+        a[win, blk] = cols.T
         a[win, win] += cols.T @ rows
 
 

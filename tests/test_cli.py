@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spnperf import files, solver
+from spnperf import files, pubsub, solver
 from spnperf.cli import SWEEP_HEADER, main
 from spnperf.monitor import solve_model
 from spnperf.pubsub import PubSubParams, build_pubsub_net
@@ -149,15 +149,43 @@ def test_analyze_adds_the_balance_residual_and_keeps_every_old_key(params_file, 
     old = files.report_to_document(report)
     old["states"] = ctmc.n_states
     old["residual"] = dist.residual
-    # the new key's line is the only change: without it, the output is the
-    # document analyze printed before the key existed, byte for byte
-    new = [line for line in out.splitlines() if line.startswith('  "balance_residual": ')]
-    assert len(new) == 1
-    assert out.replace(new[0] + "\n", "") == json.dumps(old, indent=2, sort_keys=True) + "\n"
+    # the new keys' lines are the only change: without them, the output is
+    # the document analyze printed before the keys existed, byte for byte
+    stripped = out
+    for key in ("balance_residual", "method", "iterations"):
+        new = [line for line in out.splitlines() if line.startswith(f'  "{key}": ')]
+        assert len(new) == 1
+        stripped = stripped.replace(new[0] + "\n", "")
+    assert stripped == json.dumps(old, indent=2, sort_keys=True) + "\n"
     doc = json.loads(out)
     assert doc["balance_residual"] == dist.balance_residual <= solver.DEFAULT_TOL
     # residual stays max|pi Q|, the absolute one
     assert doc["residual"] == solver._residuals(dist.probabilities, solver.generator(ctmc))[0]
+
+
+def _random_rate_params(seed):
+    # every rate drawn from 10^U(-1, 1), in field order
+    rng = np.random.default_rng(seed)
+    return PubSubParams(**{name: 10.0 ** rng.uniform(-1, 1) for name in pubsub._RATES})
+
+
+@pytest.mark.parametrize(
+    "params, method, iterations",
+    [
+        (PubSubParams(), "iterative", 53),
+        # the chain of test_auto_falls_back_to_gth_on_a_random_rate_pubsub_chain:
+        # Gauss-Seidel spends its whole budget, then auto hands it to GTH
+        (_random_rate_params(1), "direct", 287),
+    ],
+    ids=["default", "random-1"],
+)
+def test_analyze_reports_the_solver_path(tmp_path, capsys, params, method, iterations):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(files.params_to_document(params)))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert (doc["method"], doc["iterations"]) == (method, iterations)
 
 
 @pytest.mark.parametrize("scale", [1e4, 1e-4])

@@ -184,6 +184,49 @@ def test_renamed_transitions_rerate():
     assert_same_chain(rerate(explore(net), renamed), explore(renamed))
 
 
+def test_structure_is_a_key_that_only_rates_and_names_leave_alone():
+    net = weighted_infinite_server_net()
+    key = net.structure
+    renamed = SpnNet(
+        tuple(dataclasses.replace(p, name=f"q{i}") for i, p in enumerate(net.places)),
+        tuple(dataclasses.replace(t, name=f"x{i}") for i, t in enumerate(net.transitions)),
+        net.pre, net.post, net.inh,
+    )
+    for same in (with_rates(net, [0.25, 5.0]), renamed):
+        assert same.structure == key and hash(same.structure) == hash(key)
+        assert {key: "chain"}[same.structure] == "chain"
+
+    mats = {"pre": net.pre, "post": net.post, "inh": net.inh}
+
+    def one_entry(label, value):
+        m = mats[label].copy()
+        m[1, 0] = value
+        return SpnNet(net.places, net.transitions, **{**mats, label: m})
+
+    pair, split = net.transitions
+    changed = {
+        "initial tokens": SpnNet(
+            (dataclasses.replace(net.places[0], tokens=6),) + net.places[1:],
+            net.transitions, **mats,
+        ),
+        "pre": one_entry("pre", 1),
+        "post": one_entry("post", 2),
+        "inh": one_entry("inh", 3),
+        "priority": SpnNet(
+            net.places, (pair, dataclasses.replace(split, priority=1)), **mats
+        ),
+        "semantics": SpnNet(
+            net.places, (dataclasses.replace(pair, semantics=SINGLE_SERVER), split), **mats
+        ),
+        "added transition": SpnNet(
+            net.places, net.transitions + (Transition("idle", 1.0),),
+            **{label: np.pad(m, ((0, 0), (0, 1))) for label, m in mats.items()},
+        ),
+    }
+    for change, other in changed.items():
+        assert other.structure != key, change
+
+
 def test_sweep_rows_equal_analyze_of_each_point(tmp_path, capsys):
     values = [0.3, 0.9, 2.5]
     model = tmp_path / "params.json"
