@@ -3,13 +3,9 @@
 from .net import (
     INFINITE_SERVER,
     SINGLE_SERVER,
-    Marking,
     Place,
     SpnNet,
     Transition,
-    enabled_transitions,
-    fire,
-    rate_at,
 )
 from .reachability import Ctmc, check_place_invariant, explore
 from .solver import (
@@ -17,7 +13,6 @@ from .solver import (
     StationaryDistribution,
     mean_token_count,
     response_time_little,
-    state_predicate_probability,
     steady_state,
     transition_throughput,
 )

@@ -28,9 +28,6 @@ SINGLE_SERVER = "single_server"
 INFINITE_SERVER = "infinite_server"
 SERVER_SEMANTICS = (SINGLE_SERVER, INFINITE_SERVER)
 
-#: A marking is a tuple of non-negative token counts, one per place.
-Marking = tuple
-
 
 class SpnError(Exception):
     """Base class for net-level errors."""
@@ -38,10 +35,6 @@ class SpnError(Exception):
 
 class DimensionError(SpnError):
     """Marking or matrix size does not match the net."""
-
-
-class NotEnabledError(SpnError):
-    """Attempt to fire or rate a transition that is not enabled."""
 
 
 class InvalidNetError(SpnError):
@@ -162,7 +155,7 @@ class SpnNet:
         except KeyError:
             raise KeyError(f"unknown transition {name!r}") from None
 
-    def initial_marking(self) -> Marking:
+    def initial_marking(self) -> tuple:
         return tuple(p.tokens for p in self.places)
 
     @cached_property
@@ -275,16 +268,6 @@ def _violations(net: SpnNet) -> list[str]:
     return violations
 
 
-def _refuse_wrapped(net: SpnNet, block: np.ndarray) -> None:
-    # an enabled firing never takes a place below 0, so a negative count in
-    # a block of markings can only be one that wrapped past 2**63 - 1
-    if block.size and block.min() < 0:
-        place = net.places[int(np.flatnonzero((block < 0).any(axis=0))[0])].name
-        raise TokenOverflowError(
-            f"place {place!r} went past 2**63 - 1 tokens, where its int64 count wraps"
-        )
-
-
 def enabling_degree(net: SpnNet, markings) -> np.ndarray:
     """The firing kernel: the enabling degree of every transition in a block of markings.
 
@@ -302,7 +285,13 @@ def enabling_degree(net: SpnNet, markings) -> np.ndarray:
         raise DimensionError(
             f"marking block shape {m.shape} does not match {net.n_places} places"
         )
-    _refuse_wrapped(net, m)
+    # an enabled firing never takes a place below 0, so a negative count in
+    # a block of markings can only be one that wrapped past 2**63 - 1
+    if m.size and m.min() < 0:
+        place = net.places[int(np.flatnonzero((m < 0).any(axis=0))[0])].name
+        raise TokenOverflowError(
+            f"place {place!r} went past 2**63 - 1 tokens, where its int64 count wraps"
+        )
     arcs = net._kernel_columns
     enabled = np.ones((m.shape[0], net.n_transitions), dtype=bool)
     rows, k = np.nonzero(m[:, arcs.in_place] < arcs.in_weight)
@@ -330,45 +319,3 @@ def enabled_rates(net: SpnNet, markings) -> tuple[np.ndarray, np.ndarray]:
     """
     degree = enabling_degree(net, markings)
     return degree > 0, net.base_rates * degree
-
-
-def _single(net: SpnNet, m: Marking) -> tuple[np.ndarray, np.ndarray]:
-    # the kernel on a one-row block; a wrong marking length fails its check
-    enabled, rates = enabled_rates(net, np.asarray(m, dtype=np.int64).reshape(1, -1))
-    return enabled[0], rates[0]
-
-
-def enabled_transitions(net: SpnNet, m: Marking) -> tuple[int, ...]:
-    """Indices of enabled transitions.
-
-    Among the marking-enabled transitions only those of maximal priority
-    remain enabled (priority masking).
-    """
-    return tuple(np.flatnonzero(_single(net, m)[0]).tolist())
-
-
-def _not_enabled(net: SpnNet, m: Marking, t: int) -> NotEnabledError:
-    return NotEnabledError(
-        f"transition {net.transitions[t].name!r} is not enabled in {m}"
-    )
-
-
-def fire(net: SpnNet, m: Marking, t: int) -> Marking:
-    """Fire transition ``t`` in marking ``m`` and return the successor marking."""
-    if not _single(net, m)[0][t]:
-        raise _not_enabled(net, m, t)
-    successor = np.asarray(m, dtype=np.int64) + net.delta[t]
-    _refuse_wrapped(net, successor[None, :])
-    return tuple(successor.tolist())
-
-
-def rate_at(net: SpnNet, m: Marking, t: int) -> float:
-    """Effective firing rate of ``t`` in ``m``.
-
-    Single-server transitions fire at their base rate; infinite-server
-    transitions scale the base rate by the enabling degree.
-    """
-    enabled, rates = _single(net, m)
-    if not enabled[t]:
-        raise _not_enabled(net, m, t)
-    return float(rates[t])

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .net import AnalysisError, Marking, SpnNet, enabling_degree, int_array, is_count
+from .net import AnalysisError, SpnNet, enabling_degree, int_array, is_count
 
 DEFAULT_MAX_STATES = 1_000_000
 #: Frontier rows expanded per kernel call; bounds the kernel's temporaries.
@@ -58,8 +58,7 @@ class Ctmc:
     verdict, orderings and sweep plan there); ``rerate`` passes it on with
     the arrays, so chains of one structure derive each of these once.
     ``rate`` is derived on first use as ``net.base_rates[trans] * degree``,
-    the one expression for edge rates; ``states``, ``edges`` and
-    ``state_index`` are tuple/dict views built on first use.
+    the one expression for edge rates.
     """
 
     net: SpnNet
@@ -89,11 +88,8 @@ class Ctmc:
     def n_edges(self) -> int:
         return self.src.shape[0]
 
-    @cached_property
-    def states(self) -> tuple[Marking, ...]:
-        """Markings as tuples, in state order."""
-        return tuple(map(tuple, self.markings.tolist()))
-
+    # Not read by spnperf: perfbench/tracing.py counts a chain's edges as
+    # len(ctmc.edges), so this tuple view stays until the bench reads n_edges.
     @cached_property
     def edges(self) -> tuple[tuple[int, int, float, int], ...]:
         """``(source, target, rate, transition_index)`` tuples in edge order."""
@@ -105,13 +101,6 @@ class Ctmc:
                 self.trans.tolist(),
             )
         )
-
-    @cached_property
-    def _index(self) -> dict:
-        return {s: i for i, s in enumerate(self.states)}
-
-    def state_index(self, m: Marking) -> int:
-        return self._index[tuple(m)]
 
 
 def explore(net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctmc:

@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -619,13 +618,3 @@ def response_time_little(population: float, throughput: float):
     if throughput == 0.0:
         return 0.0 if population == 0.0 else None
     return population / throughput
-
-
-def state_predicate_probability(
-    ctmc: Ctmc, dist: StationaryDistribution, predicate: Callable
-) -> float:
-    """Total stationary probability of states whose marking satisfies ``predicate``."""
-    _check_dist(ctmc, dist)
-    return float(
-        sum(p for p, s in zip(dist.probabilities, ctmc.states) if predicate(s))
-    )

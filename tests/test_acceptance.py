@@ -129,7 +129,8 @@ def test_criterion_2_reachability_equals_naive_fixed_point():
         for i in range(20):
             net = _random_conservative_net(rng, i)
             ctmc = explore(net)
-            assert set(ctmc.states) == _naive_fixed_point_states(net), i
+            states = set(map(tuple, ctmc.markings.tolist()))
+            assert states == _naive_fixed_point_states(net), i
 
 
 def _solver_suite_chains():

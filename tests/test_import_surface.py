@@ -1,5 +1,5 @@
 """What importing the CLI costs, what the simulator imports and what the
-benchmark's tracer patches."""
+benchmark's tracer patches and reads."""
 
 import ast
 import importlib
@@ -170,3 +170,32 @@ def test_every_traced_name_is_importable():
     # the traced benchmark replaces these module attributes with wrappers
     for module, attr, _span, _attrs in _patch_points():
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+
+def test_every_tracer_reader_reads_a_real_result():
+    # the traced benchmark reads these fields off each wrapped call's result,
+    # so a field that goes missing (Ctmc.edges, say) must fail here too
+    from spnperf.monitor import MonitorPolicy, WorkloadSnapshot, run_loop
+    from spnperf.pubsub import PubSubParams, build_pubsub_net
+    from spnperf.reachability import explore
+    from spnperf.simulator import simulate_run
+    from spnperf.solver import DEFAULT_TOL, steady_state
+
+    net = build_pubsub_net(PubSubParams())
+    ctmc = explore(net)
+    # thresholds below the default's 2.92 and 3.88: the monitor acts once
+    records = run_loop([WorkloadSnapshot(1.0, 2, 2, 3)], PubSubParams(), MonitorPolicy(2.8, 3.7))
+    results = {
+        "explore": (ctmc, {"states": 1260, "edges": 6228}),
+        "steady_state": (steady_state(ctmc), {"method": "iterative", "iterations": 53}),
+        "simulate_run": (simulate_run(net, 20.0, seed=0), {"firings": 86, "deadlocked": False}),
+        "run_loop": (records, {"snapshots": 1, "actions": 1, "outcomes": ["compliant"]}),
+    }
+    read = {(attr, reader) for _module, attr, _span, reader in _patch_points() if reader}
+    assert {attr for attr, _reader in read} == set(results)
+    for attr, reader in read:
+        result, expected = results[attr]
+        attrs = reader(result)
+        if "residual" in attrs:
+            assert 0.0 <= attrs.pop("residual") <= DEFAULT_TOL
+        assert attrs == expected, attr

@@ -224,15 +224,6 @@ def test_lowering_the_qos_level_rerates_the_explored_chain(monkeypatch):
     assert len(explored) == 3
 
 
-def _structure(net):
-    # everything but the rates that decides the reachability graph
-    return (
-        net.initial_marking(),
-        tuple((t.priority, t.semantics) for t in net.transitions),
-        net.pre.tobytes(), net.post.tobytes(), net.inh.tobytes(),
-    )
-
-
 @pytest.mark.parametrize(
     "policy",
     [
@@ -262,13 +253,13 @@ def test_a_repeated_load_rerates_the_last_chain(policy, monkeypatch):
 
     monkeypatch.setattr(monitor, "explore", counted)
     records = run_loop(trace, PubSubParams(), policy)
-    structures = [_structure(net) for net in explored]
+    structures = [net.structure for net in explored]
     assert len(set(structures)) == len(structures)
     explored.clear()
     monkeypatch.setattr(monitor, "rerate", lambda previous, net, max_states: None)
     assert run_loop(trace, PubSubParams(), policy) == records
     assert len(explored) == sum(1 + len(r.actions) for r in records)
-    assert {_structure(net) for net in explored} == set(structures)
+    assert {net.structure for net in explored} == set(structures)
     assert len(structures) < len(explored)
 
 

@@ -7,15 +7,12 @@ from spnperf.net import (
     INFINITE_SERVER,
     DimensionError,
     InvalidNetError,
-    NotEnabledError,
     Place,
     SpnNet,
     TokenOverflowError,
     Transition,
-    enabled_transitions,
+    enabled_rates,
     enabling_degree,
-    fire,
-    rate_at,
 )
 from nets import simple_net, self_loop_net
 
@@ -41,12 +38,12 @@ def test_duplicate_place_names_violate():
 
 def test_enabled_empty_when_tokens_insufficient():
     net = simple_net([("p", 0)], [("t", 1.0)], [("p", "t", "pre", 1)])
-    assert enabled_transitions(net, (0,)) == ()
+    assert enabling_degree(net, [(0,)]).tolist() == [[0]]
 
 
 def test_self_loop_enabled():
     net = self_loop_net()
-    assert enabled_transitions(net, (1,)) == (0,)
+    assert enabling_degree(net, [(1,)]).tolist() == [[1]]
 
 
 def test_priority_masks_lower_priority_transitions():
@@ -55,7 +52,7 @@ def test_priority_masks_lower_priority_transitions():
         [("low", 1.0, 1), ("high", 1.0, 2)],
         [("p", "low", "pre", 1), ("p", "high", "pre", 1)],
     )
-    assert enabled_transitions(net, (1,)) == (1,)
+    assert enabling_degree(net, [(1,)]).tolist() == [[0, 1]]
 
 
 @pytest.mark.parametrize(
@@ -80,9 +77,7 @@ def test_kernel_keeps_priorities_only_when_they_differ(priorities, masks):
     if masks:
         assert prio.tolist() == list(priorities)
     top = max(priorities)
-    assert enabled_transitions(net, (1,)) == tuple(
-        j for j, p in enumerate(priorities) if p == top
-    )
+    assert enabling_degree(net, [(1,)]).tolist() == [[int(p == top) for p in priorities]]
 
 
 def test_inhibitor_threshold_semantics():
@@ -92,13 +87,13 @@ def test_inhibitor_threshold_semantics():
         [("q", "t", "pre", 1), ("q", "t", "post", 1)],
         inh_arcs=[("p", "t", 2)],
     )
-    assert enabled_transitions(net, (1, 1)) == (0,)  # below threshold
-    assert enabled_transitions(net, (2, 1)) == ()  # at threshold: inhibited
+    # below the threshold, then at it: inhibited
+    assert enabling_degree(net, [(1, 1), (2, 1)]).tolist() == [[1], [0]]
 
 
 def test_marking_length_mismatch_raises():
     with pytest.raises(DimensionError):
-        enabled_transitions(self_loop_net(), (1, 0))
+        enabling_degree(self_loop_net(), [(1, 0)])
 
 
 def test_fire_moves_token():
@@ -107,12 +102,14 @@ def test_fire_moves_token():
         [("t", 1.0)],
         [("a", "t", "pre", 1), ("b", "t", "post", 1)],
     )
-    assert fire(net, (1, 0), 0) == (0, 1)
+    assert enabling_degree(net, [(1, 0)]).tolist() == [[1]]
+    assert ((1, 0) + net.delta[0]).tolist() == [0, 1]
 
 
 def test_fire_self_loop_is_identity():
     net = self_loop_net()
-    assert fire(net, (1,), 0) == (1,)
+    assert enabling_degree(net, [(1,)]).tolist() == [[1]]
+    assert ((1,) + net.delta[0]).tolist() == [1]
 
 
 def test_fire_with_weights():
@@ -121,33 +118,27 @@ def test_fire_with_weights():
         [("t", 1.0)],
         [("a", "t", "pre", 2), ("b", "t", "post", 1)],
     )
-    assert fire(net, (2, 0), 0) == (0, 1)
-
-
-def test_fire_disabled_raises():
-    net = simple_net([("p", 0)], [("t", 1.0)], [("p", "t", "pre", 1)])
-    with pytest.raises(NotEnabledError):
-        fire(net, (0,), 0)
+    assert enabling_degree(net, [(2, 0), (1, 0)]).tolist() == [[1], [0]]
+    assert ((2, 0) + net.delta[0]).tolist() == [0, 1]
 
 
 def test_a_count_past_int64_is_refused():
-    # 2**63 - 2 + 2 wraps to -2**63: fire refuses to return it, and the
-    # kernel refuses a block holding it; an empty block stays valid
+    # 2**63 - 2 + 2 wraps to -2**63: the kernel refuses a block holding it;
+    # an empty block stays valid
     net = simple_net(
         [("q", 0), ("p", 2**63 - 2)], [("t", 1.0)], [("p", "t", "pre", 1), ("p", "t", "post", 3)]
     )
-    with pytest.raises(TokenOverflowError, match="place 'p' went past 2\\*\\*63 - 1 tokens"):
-        fire(net, net.initial_marking(), 0)
     block = np.array([[0, 5], [0, -(2**63)]], dtype=np.int64)
-    with pytest.raises(TokenOverflowError, match="place 'p'"):
+    with pytest.raises(TokenOverflowError, match="place 'p' went past 2\\*\\*63 - 1 tokens"):
         enabling_degree(net, block)
     assert enabling_degree(net, block[:0]).shape == (0, 1)
 
 
 def test_single_server_rate_is_marking_independent():
     net = simple_net([("p", 5)], [("t", 3.0)], [("p", "t", "pre", 1)])
-    assert rate_at(net, (5,), 0) == 3.0
-    assert rate_at(net, (1,), 0) == 3.0
+    enabled, rates = enabled_rates(net, [(5,), (1,)])
+    assert enabled.tolist() == [[True], [True]]
+    assert rates.tolist() == [[3.0], [3.0]]
 
 
 def test_infinite_server_rate_scales_with_enabling_degree():
@@ -156,7 +147,7 @@ def test_infinite_server_rate_scales_with_enabling_degree():
         [("t", 2.0, 0, INFINITE_SERVER)],
         [("p", "t", "pre", 1)],
     )
-    assert rate_at(net, (3,), 0) == 6.0
+    assert enabled_rates(net, [(3,)])[1].tolist() == [[6.0]]
 
 
 def test_infinite_server_degree_uses_floor():
@@ -165,13 +156,7 @@ def test_infinite_server_degree_uses_floor():
         [("t", 2.0, 0, INFINITE_SERVER)],
         [("p", "t", "pre", 2)],
     )
-    assert rate_at(net, (5,), 0) == 4.0
-
-
-def test_rate_at_disabled_raises():
-    net = simple_net([("p", 0)], [("t", 1.0)], [("p", "t", "pre", 1)])
-    with pytest.raises(NotEnabledError):
-        rate_at(net, (0,), 0)
+    assert enabled_rates(net, [(5,)])[1].tolist() == [[4.0]]
 
 
 @st.composite
@@ -196,11 +181,10 @@ def random_net_and_marking(draw):
 @given(random_net_and_marking())
 def test_fire_never_goes_negative_and_priorities_are_uniform(case):
     net, m = case
-    enabled = enabled_transitions(net, m)
+    enabled = np.flatnonzero(enabling_degree(net, [m])[0])
     prios = {net.transitions[t].priority for t in enabled}
     assert len(prios) <= 1
-    for t in enabled:
-        assert all(x >= 0 for x in fire(net, m, t))
+    assert (m + net.delta[enabled] >= 0).all()
 
 
 # -- values are refused, never truncated ---------------------------------

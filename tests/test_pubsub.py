@@ -86,7 +86,7 @@ def test_topics_is_constant():
     params = PubSubParams(n_topics=2)
     ctmc = explore(build_pubsub_net(params))
     topics = PLACE_NAMES.index("Topics")
-    assert all(s[topics] == 2 for s in ctmc.states)
+    assert (ctmc.markings[:, topics] == 2).all()
 
 
 def test_default_calibration_headline_metrics():

@@ -15,7 +15,7 @@ from nets import mm1k_net, producer_consumer_net, self_loop_net, simple_net
 
 def test_self_loop_gives_one_state_one_edge():
     ctmc = explore(self_loop_net())
-    assert ctmc.states == ((1,),)
+    assert ctmc.markings.tolist() == [[1]]
     assert ctmc.edges == ((0, 0, 1.0, 0),)
     assert not ctmc.deadlock_states
 
@@ -40,7 +40,8 @@ def test_producer_consumer_matches_hand_enumeration():
     # hand enumeration: (2,0) -t1-> (1,1) -t1-> (0,2); (1,1) -t2-> (2,0);
     # (0,2) -t2-> (1,1)
     ctmc = explore(producer_consumer_net())
-    assert set(ctmc.states) == {(2, 0), (1, 1), (0, 2)}
+    states = [tuple(m) for m in ctmc.markings.tolist()]
+    assert set(states) == {(2, 0), (1, 1), (0, 2)}
     assert len(ctmc.edges) == 4
     expected = {
         ((2, 0), (1, 1), "t1"),
@@ -49,7 +50,7 @@ def test_producer_consumer_matches_hand_enumeration():
         ((0, 2), (1, 1), "t2"),
     }
     seen = {
-        (ctmc.states[s], ctmc.states[d], ctmc.net.transitions[t].name)
+        (states[s], states[d], ctmc.net.transitions[t].name)
         for s, d, _r, t in ctmc.edges
     }
     assert seen == expected
@@ -57,13 +58,13 @@ def test_producer_consumer_matches_hand_enumeration():
 
 def test_initial_marking_is_state_zero():
     ctmc = explore(producer_consumer_net())
-    assert ctmc.states[0] == (2, 0)
+    assert ctmc.markings[0].tolist() == [2, 0]
 
 
 def test_exploration_is_deterministic():
     a = explore(producer_consumer_net())
     b = explore(producer_consumer_net())
-    assert a.states == b.states
+    assert a.markings.tolist() == b.markings.tolist()
     assert a.edges == b.edges
 
 
@@ -74,7 +75,8 @@ def test_deadlock_recorded_not_fatal():
         [("a", "t", "pre", 1), ("b", "t", "post", 1)],
     )
     ctmc = explore(net)
-    assert ctmc.deadlock_states == {ctmc.state_index((0, 1))}
+    assert ctmc.markings.tolist() == [[1, 0], [0, 1]]
+    assert ctmc.deadlock_states == {1}
 
 
 def test_invalid_net_rejected():

@@ -8,7 +8,6 @@ from spnperf.solver import (
     chain_metrics,
     mean_token_count,
     response_time_little,
-    state_predicate_probability,
     steady_state,
     transition_throughput,
 )
@@ -108,16 +107,6 @@ def test_little_quotient():
     assert response_time_little(1.0, 0.0) is None
     with pytest.raises(ValueError):
         response_time_little(-1.0, 1.0)
-
-
-def test_state_predicate_probability():
-    ctmc = explore(mm1k_net(1.0, 2.0, 2))
-    dist = steady_state(ctmc)
-    q = ctmc.net.place_index("Queue")
-    assert state_predicate_probability(ctmc, dist, lambda m: True) == pytest.approx(1.0)
-    assert state_predicate_probability(ctmc, dist, lambda m: False) == 0.0
-    full = state_predicate_probability(ctmc, dist, lambda m: m[q] == 2)
-    assert full == pytest.approx(1 / 7, rel=1e-12)
 
 
 def test_deadlock_is_a_structure_error():
