@@ -224,6 +224,7 @@ def decision_record_to_document(record: DecisionRecord) -> dict:
     return {
         "t": record.timestamp,
         "outcome": record.outcome,
+        "stop_reason": record.stop_reason,
         "actions": list(record.actions),
         "before": report_to_document(record.before) if record.before else None,
         "after": report_to_document(record.after) if record.after else None,

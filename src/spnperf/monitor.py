@@ -35,6 +35,12 @@ COMPLIANT = "compliant"
 EXHAUSTED_ACTIONS = "exhausted_actions"
 EVALUATION_FAILED = "evaluation_failed"
 
+#: why the loop stopped acting on a snapshot: ``COMPLIANT`` and
+#: ``EVALUATION_FAILED`` as for the outcome, or the violation outlasted every
+#: applicable action, or ``max_actions_per_snapshot`` ran out first
+NO_ACTION_LEFT = "no_action_left"
+ACTION_BUDGET_SPENT = "action_budget_spent"
+
 #: growth action -> the factors it multiplies by ``step``, each against its own cap
 _GROWS = {GROW_NETWORK_BUFFERS: NETWORK_BUFFERS, GROW_BROKER_MEMORY: ("broker_memory",)}
 _DEFAULT_CAPS = {factor: 64 for factors in _GROWS.values() for factor in factors}
@@ -116,13 +122,15 @@ class MonitorPolicy:
 
 @dataclass(frozen=True)
 class DecisionRecord:
-    """Audit entry for one snapshot: metrics before/after and actions taken."""
+    """Audit entry for one snapshot: metrics before/after, actions taken,
+    the outcome and why the loop stopped."""
 
     timestamp: float
     before: MetricsReport | None
     after: MetricsReport | None
     actions: tuple
     outcome: str
+    stop_reason: str
 
 
 #: the last chain ``solve_model`` produced, the one it offers ``rerate`` next
@@ -229,6 +237,10 @@ def run_loop(
     Returns one DecisionRecord per snapshot.  Factor adjustments persist
     across snapshots; an evaluation failure records the snapshot as
     ``evaluation_failed`` and leaves the carried-forward params unchanged.
+    A snapshot still violating its thresholds is ``exhausted_actions``,
+    stopped because no action applied any more (``no_action_left``) or
+    because the action budget was spent while one still did
+    (``action_budget_spent``).
     """
     records = []
     qos_level = policy.initial_qos_level
@@ -256,13 +268,23 @@ def run_loop(
                 report = evaluate(candidate, max_states=max_states)
         except AnalysisError:
             records.append(
-                DecisionRecord(snap.timestamp, before, None, tuple(actions), EVALUATION_FAILED)
+                DecisionRecord(
+                    snap.timestamp, before, None, tuple(actions),
+                    EVALUATION_FAILED, EVALUATION_FAILED,
+                )
             )
             continue
 
-        outcome = COMPLIANT if not detect_degradation(report, policy) else EXHAUSTED_ACTIONS
+        if not detect_degradation(report, policy):
+            outcome = reason = COMPLIANT
+        else:
+            outcome = EXHAUSTED_ACTIONS
+            if next_action(candidate, policy, cand_level) is None:
+                reason = NO_ACTION_LEFT
+            else:
+                reason = ACTION_BUDGET_SPENT
         records.append(
-            DecisionRecord(snap.timestamp, before, report, tuple(actions), outcome)
+            DecisionRecord(snap.timestamp, before, report, tuple(actions), outcome, reason)
         )
         params, qos_level = candidate, cand_level
     return records

@@ -7,6 +7,15 @@ is expanded in bounded row blocks by the vectorized firing kernel
 (``net.enabling_degree``), and new markings are numbered in (parent,
 transition) order, which is the order a scalar FIFO search visits them.
 
+A marking is known by its mixed-radix code ``sum_p m[p] * w[p]``, where
+``w[p]`` is the product of ``top[q] + 1`` over the places ``q < p``.  The
+code is linear, so a firing of ``t`` moves it by the constant ``delta[t] @
+w``: a block's successor codes are one gather and one add, looked up in a
+dict of first-seen ids, and only new markings are built as rows.  The digit
+tops grow on demand: once a new marking could send a successor past a
+place's top, that top doubles and every known code is computed again.
+Codes are int64 while they fit, and Python ints beyond, so none wraps.
+
 Each edge keeps the enabling degree of its transition in its source
 marking, and its rate is the transition's base rate times that degree.
 Rates never decide which markings are reachable, so a net whose
@@ -18,6 +27,8 @@ without a search, and the chain derives its rates from that net.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -103,6 +114,46 @@ class Ctmc:
         )
 
 
+def _weights(top) -> np.ndarray:
+    """Place weights of the mixed-radix code whose digit ``p`` runs from 0 to
+    ``top[p]``: ``w[p]`` is the product of ``top[q] + 1`` over ``q < p``.
+
+    The array is int64 while every code fits in it, and holds Python ints
+    otherwise, so a code never wraps.
+    """
+    w, span = [], 1
+    for t in top:
+        w.append(span)
+        span *= t + 1
+    return np.array(w, dtype=np.int64 if span <= 2**63 else object)
+
+
+def _widened(top, rise, high) -> list:
+    # each digit too short for a place that holds ``high`` tokens and may
+    # gain ``rise`` more in one firing doubles its range, or takes what it needs
+    return [t if h + r <= t else max(2 * t + 1, h + r) for t, r, h in zip(top, rise, high)]
+
+
+def _coding(top, rise, delta):
+    # the code weights, each transition's code step, and the most tokens a
+    # place may hold for a state's successors to stay within the digit tops
+    w = _weights(top)
+    room = np.array([min(t - r, 2**63 - 1) for t, r in zip(top, rise)], dtype=np.int64)
+    return w, delta @ w, room
+
+
+def _numbering(codes) -> defaultdict:
+    # code -> state id, where a missing code is numbered with the next free id
+    next_id = itertools.count(len(codes)).__next__
+    return defaultdict(next_id, zip(codes.tolist(), range(len(codes))))
+
+
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    out = np.empty((size,) + a.shape[1:], dtype=a.dtype)
+    out[:len(a)] = a
+    return out
+
+
 def explore(net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctmc:
     """Enumerate all markings reachable from the initial marking.
 
@@ -114,12 +165,14 @@ def explore(net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctmc:
     # the initial marking is always kept, so the bound bites from state 2 on
     limit = max(max_states, 1)
     delta = net.delta
-    states = np.empty((64, net.n_places), dtype=np.int64)
-    states[0] = net.initial_marking()
-    index = {states[0].tobytes(): 0}
-    setdefault = index.setdefault
-    width = states.itemsize * net.n_places
-    src, dst, trans, degrees, deadlocks = [], [], [], [], []
+    # the most one firing adds to each place
+    rise = np.maximum(delta.max(axis=0), 0).tolist()
+    top = _widened([0] * net.n_places, rise, net.initial_marking())
+    w, dcode, room = _coding(top, rise, delta)
+    states = np.array([net.initial_marking()], dtype=np.int64)
+    codes = states @ w
+    index = _numbering(codes)
+    src, dst, trans, degrees = [], [], [], []
     done = 0  # states below this id are expanded
     n = 1  # states below this id are known
 
@@ -128,41 +181,46 @@ def explore(net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctmc:
         block = states[done:hi]
         degree = enabling_degree(net, block)
         rows, ts = np.nonzero(degree)  # row-major: parent, then transition
-        deadlocks.extend((done + np.flatnonzero(~degree.any(axis=1))).tolist())
-        succ = block[rows] + delta[ts]
-        buf = succ.tobytes()
-        # setdefault numbers an unseen marking with the next free id
-        ids = np.array(
-            [setdefault(buf[k:k + width], len(index)) for k in range(0, len(buf), width)],
-            dtype=np.int64,
-        )
+        # a firing moves the code by its transition's step
+        succ = codes[done + rows] + dcode[ts]
+        ids = np.fromiter(map(index.__getitem__, succ.tolist()), dtype=np.int64, count=len(ts))
         n_new = len(index)
         if n_new > limit:
             raise StateExplosionError(max_states)
         if n_new > n:
-            if n_new > states.shape[0]:
-                grown = np.empty((max(2 * states.shape[0], n_new), net.n_places), dtype=np.int64)
-                grown[:n] = states[:n]
-                states = grown
-            # the first occurrence of each new id is in id order
-            fresh = np.flatnonzero(ids >= n)
-            _, first = np.unique(ids[fresh], return_index=True)
-            states[n:n_new] = succ[fresh[first]]
+            if n_new > len(states):
+                size = max(2 * len(states), n_new)
+                states, codes = _grown(states, size), _grown(codes, size)
+            # ids are handed out in order, so each new id's first edge is
+            # where the running maximum of the ids reaches it
+            first = np.maximum.accumulate(ids).searchsorted(np.arange(n, n_new))
+            new = block[rows[first]] + delta[ts[first]]
+            states[n:n_new] = new
+            codes[n:n_new] = succ[first]
             n = n_new
+            high = new.max(axis=0)
+            if (high > room).any():
+                # a new state's successor could pass its digit: widen the
+                # digits that need it and code every known state anew
+                top = _widened(top, rise, high.tolist())
+                w, dcode, room = _coding(top, rise, delta)
+                codes = _grown(states[:n] @ w, len(states))
+                index = _numbering(codes[:n])
         src.append(done + rows)
         dst.append(ids)
         trans.append(ts)
         degrees.append(degree[rows, ts])
         done = hi
 
+    src = np.concatenate(src)
     return Ctmc(
         net=net,
         markings=states[:n].copy(),
-        src=np.concatenate(src),
+        src=src,
         dst=np.concatenate(dst),
         trans=np.concatenate(trans),
         degree=np.concatenate(degrees),
-        deadlock_states=frozenset(deadlocks),
+        deadlock_states=frozenset(np.flatnonzero(np.bincount(src, minlength=n) == 0).tolist()),
     )
 
 

@@ -577,9 +577,13 @@ def _flows(ctmc: Ctmc, dist: StationaryDistribution) -> np.ndarray:
 
 
 def _tokens(ctmc: Ctmc, dist: StationaryDistribution, p: int) -> float:
-    # one column at a time: ``pi @ markings`` as one product may round
-    # differently in the last bit
-    return float(dist.probabilities @ ctmc.markings[:, p])
+    # a place that holds the same count in every state has that mean exactly,
+    # not pi's sum times it; otherwise one column at a time: ``pi @ markings``
+    # as one product may round differently in the last bit
+    column = ctmc.markings[:, p]
+    if (column == column[0]).all():
+        return float(column[0])
+    return float(dist.probabilities @ column)
 
 
 def chain_metrics(ctmc: Ctmc, dist: StationaryDistribution) -> MetricsReport:

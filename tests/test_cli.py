@@ -341,6 +341,18 @@ def test_simulate_mm1_2_inside_ci(tmp_path, capsys):
     assert entry["inside_ci"] is True
 
 
+def test_simulate_puts_a_constant_place_inside_its_interval(params_file, capsys):
+    # every replication sees Topics at 1: a zero-width interval that holds
+    # the analytic mean only if that mean is exactly 1.0
+    code, out, _ = run_cli(
+        capsys, "simulate", params_file, "--horizon", "50", "--replications", "2", "--seed", "0"
+    )
+    assert code == 0
+    entry = json.loads(out)["metrics"]["mean_tokens:Topics"]
+    assert (entry["mean"], entry["half_width_95"], entry["analytic"]) == (1.0, 0.0, 1.0)
+    assert entry["inside_ci"] is True
+
+
 def test_simulate_is_deterministic(tmp_path, capsys):
     path = write_net(tmp_path, mm1k_net(1.0, 2.0, 2))
     args = ("simulate", path, "--horizon", "200", "--replications", "3", "--seed", "9")
@@ -538,6 +550,21 @@ def test_monitor_exhausted_actions_still_exit_0(tmp_path, params_file, capsys):
     code, out, _ = run_cli(capsys, "monitor", trace, params_file, policy)
     assert code == 0
     assert json.loads(out.strip())["outcome"] == "exhausted_actions"
+
+
+def test_monitor_prints_why_it_stopped(tmp_path, params_file, capsys):
+    # one action allowed while growth is still possible: the budget stopped it
+    trace = write_trace(tmp_path, [{"t": 1.0, "publishers": 2, "subscribers": 2, "events": 3}])
+    policy = write_policy(
+        tmp_path,
+        max_accept_publication_response_time=0.0,
+        max_notification_response_time=0.0,
+        max_actions_per_snapshot=1,
+    )
+    code, out, _ = run_cli(capsys, "monitor", trace, params_file, policy)
+    assert code == 0
+    record = json.loads(out)
+    assert (record["outcome"], record["stop_reason"]) == ("exhausted_actions", "action_budget_spent")
 
 
 def test_monitor_empty_trace(tmp_path, params_file, capsys):

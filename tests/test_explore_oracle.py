@@ -7,6 +7,7 @@ state numbering, the same edges in the same order with bit-identical rates,
 the same deadlocks and the same ``StateExplosionError`` boundary.
 """
 
+import math
 from collections import deque
 
 import numpy as np
@@ -14,7 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spnperf.net import INFINITE_SERVER, SINGLE_SERVER, Place, SpnNet, Transition
+from spnperf import reachability
+from spnperf.net import (
+    INFINITE_SERVER,
+    SINGLE_SERVER,
+    Place,
+    SpnNet,
+    TokenOverflowError,
+    Transition,
+)
 from spnperf.pubsub import PubSubParams, build_pubsub_net
 from spnperf.reachability import StateExplosionError, explore
 from spnperf.simulator import _event_entries, _successors
@@ -185,6 +194,80 @@ def test_weighted_infinite_server_rates_use_the_degree():
 def test_deadlock_net_records_its_deadlock():
     ctmc = assert_matches_oracle(deadlock_net())
     assert ctmc.deadlock_states == {1}
+
+
+# -- state codes -----------------------------------------------------------
+
+def ring_net(n_places, tokens):
+    """``tokens`` tokens circling ``n_places`` places, one hop per firing."""
+    names = [f"p{i}" for i in range(n_places)]
+    return simple_net(
+        [(name, tokens if i == 0 else 0) for i, name in enumerate(names)],
+        [(f"t{i}", 1.0) for i in range(n_places)],
+        [
+            arc
+            for i in range(n_places)
+            for arc in (
+                (names[i], f"t{i}", "pre", 1),
+                (names[(i + 1) % n_places], f"t{i}", "post", 1),
+            )
+        ],
+    )
+
+
+@pytest.mark.parametrize("n_places,tokens,n_states", [(70, 1, 70), (30, 3, 4960)])
+def test_rings_past_int64_codes_match_oracle(n_places, tokens, n_states):
+    # every place may hold its count plus the one token a firing adds, so
+    # the digits' product, and with it the codes, passes 2**63
+    ctmc = assert_matches_oracle(ring_net(n_places, tokens))
+    assert ctmc.n_states == n_states
+    assert math.prod(int(m) + 2 for m in ctmc.markings.max(axis=0)) > 2**63
+
+
+def two_caps_net():
+    """Two source transitions stopped by inhibitor arcs at 5 and 300 tokens,
+    and a sink on the first place: the digits widen as the counts climb."""
+    return simple_net(
+        [("a", 0), ("b", 0)],
+        [("mint_a", 1.0), ("mint_b", 2.0), ("drain", 0.5)],
+        [("a", "mint_a", "post", 1), ("b", "mint_b", "post", 1), ("a", "drain", "pre", 1)],
+        inh_arcs=[("a", "mint_a", 5), ("b", "mint_b", 300)],
+    )
+
+
+def test_digits_widen_mid_explore_and_match_oracle(monkeypatch):
+    calls = []
+    coding = reachability._coding
+    monkeypatch.setattr(
+        reachability, "_coding", lambda top, *args: calls.append(top) or coding(top, *args)
+    )
+    ctmc = assert_matches_oracle(two_caps_net())
+    assert ctmc.n_states == 6 * 301
+    # the first coding, then at least one widening of each place, up to
+    # tops that hold each cap plus the one token a firing adds
+    assert len(calls) >= 3
+    assert calls[-1][0] >= 5 + 1 and calls[-1][1] >= 300 + 1
+
+
+def test_explore_refuses_a_count_past_int64():
+    # 2**63 - 2 + 2 wraps the count: the state holding it is refused when expanded
+    net = simple_net(
+        [("p", 2**63 - 2)], [("t", 1.0)], [("p", "t", "pre", 1), ("p", "t", "post", 3)]
+    )
+    with pytest.raises(TokenOverflowError, match="place 'p' went past 2\\*\\*63 - 1 tokens"):
+        explore(net)
+
+
+def test_codes_past_int64_do_not_wrap():
+    # 70 binary digits: the last place's weight is 2**69, which an int64 wraps to 0
+    w = reachability._weights([1] * 70)
+    low = np.zeros(70, dtype=np.int64)
+    high = low.copy()
+    high[-1] = 1
+    assert int(w[-1]) == 2**69
+    assert high @ w == 2**69
+    assert low @ w == 0
+    assert np.ones(70, dtype=np.int64) @ w == 2**70 - 1
 
 
 @st.composite

@@ -5,12 +5,14 @@ import pytest
 
 from spnperf import monitor
 from spnperf.monitor import (
+    ACTION_BUDGET_SPENT,
     COMPLIANT,
     EVALUATION_FAILED,
     EXHAUSTED_ACTIONS,
     GROW_BROKER_MEMORY,
     GROW_NETWORK_BUFFERS,
     LOWER_QOS_LEVEL,
+    NO_ACTION_LEFT,
     MonitorPolicy,
     WorkloadSnapshot,
     apply_action,
@@ -191,6 +193,39 @@ def test_run_loop_failure_keeps_params():
     records = run_loop(trace, PubSubParams(), policy, max_states=5000)
     assert records[0].outcome == EVALUATION_FAILED
     assert records[1].outcome == COMPLIANT
+
+
+def test_stop_reason_compliant():
+    (record,) = run_loop([WorkloadSnapshot(1.0, 2, 2, 3)], PubSubParams(), DEGRADED_POLICY)
+    assert (record.outcome, record.stop_reason) == (COMPLIANT, COMPLIANT)
+
+
+def test_stop_reason_no_action_left():
+    # the buffers may grow from 1 to 2 once, memory is at its cap: one action
+    # is applicable, and a budget of exactly one spends it and leaves none
+    policy = MonitorPolicy(
+        0.0, 0.0, max_actions_per_snapshot=1,
+        caps={"net_recv_buffer": 2, "net_send_buffer": 2, "broker_memory": 2},
+    )
+    (record,) = run_loop([WorkloadSnapshot(1.0, 2, 2, 3)], PubSubParams(), policy)
+    assert record.actions == (GROW_NETWORK_BUFFERS,)
+    assert (record.outcome, record.stop_reason) == (EXHAUSTED_ACTIONS, NO_ACTION_LEFT)
+
+
+def test_stop_reason_action_budget_spent():
+    # the budget of 3 runs out while the buffers are still below their caps
+    policy = MonitorPolicy(0.0, 0.0, max_actions_per_snapshot=3)
+    (record,) = run_loop([WorkloadSnapshot(1.0, 2, 2, 3)], PubSubParams(), policy)
+    assert len(record.actions) == 3
+    assert (record.outcome, record.stop_reason) == (EXHAUSTED_ACTIONS, ACTION_BUDGET_SPENT)
+
+
+def test_stop_reason_evaluation_failed():
+    policy = MonitorPolicy(math.inf, math.inf)
+    (record,) = run_loop(
+        [WorkloadSnapshot(1.0, 50, 50, 50)], PubSubParams(), policy, max_states=5000
+    )
+    assert (record.outcome, record.stop_reason) == (EVALUATION_FAILED, EVALUATION_FAILED)
 
 
 def test_run_loop_adjustments_persist_across_snapshots():

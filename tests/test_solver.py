@@ -204,3 +204,13 @@ def test_a_refused_solve_names_its_path(monkeypatch, method, target, message, va
     monkeypatch.setattr(solver, target, lambda q: (np.full(q.shape[0], value), 7, True))
     with pytest.raises(solver.ConvergenceError, match=message):
         steady_state(explore(mm1k_net(1.0, 2.0, 3)), method=method)
+
+
+def test_a_constant_place_has_its_count_as_mean_exactly():
+    # Topics holds 1 token in every reachable state; pi's sum is 1 only to
+    # within an ulp, so the mean is the column's value, not pi @ column
+    ctmc = explore(build_pubsub_net(PubSubParams()))
+    dist = steady_state(ctmc)
+    assert (ctmc.markings[:, ctmc.net.place_index("Topics")] == 1).all()
+    assert mean_token_count(ctmc, dist, "Topics") == 1.0
+    assert chain_metrics(ctmc, dist).mean_tokens["Topics"] == 1.0
