@@ -10,12 +10,12 @@ Every chain is first given to Gauss-Seidel sweeps on pi Q = 0 with
 renormalization.  They stop once the balance residual, divided by one
 minus the rate at which it falls, is at most DEFAULT_TOL: that quotient
 estimates the relative error left in pi.  Gauss-Seidel runs each sweep's
-forward substitution level by level and reads the residual off the upper
-inflow the next sweep needs.  The sweeps get a budget of about what GTH
-elimination would cost, in numpy calls and flops, from the chain's
-structure alone; a chain they have not solved by then, such as a long
-birth-death chain, goes to GTH, if its dense n x n array fits
-DIRECT_MAX_BYTES.
+forward substitution level by level, on rates over out-rates, and reads
+the residual off the upper inflow the next sweep needs.  The sweeps get a
+budget of about what GTH elimination would cost, in numpy calls and
+flops, from the chain's structure alone; a chain they have not solved by
+then, such as a long birth-death chain, goes to GTH, if its dense n x n
+array fits DIRECT_MAX_BYTES.
 
 The direct solve runs GTH elimination inside the envelope of Q in reverse
 Cuthill-McKee order.  It eliminates 32 states at a time, each block over
@@ -237,12 +237,14 @@ def _check_structure(ctmc: Ctmc, q: Generator):
         )
 
 
-def _balance(net: np.ndarray, outflow: np.ndarray) -> float:
-    """max ``net_j / outflow_j`` over the states whose outflow exceeds
-    ``BALANCE_FLOOR``, where pi has not underflowed and is not about to;
-    infinite when no state is left."""
+def _balance(net: np.ndarray, scale: np.ndarray, outflow: np.ndarray) -> float:
+    """max ``net_j / scale_j``, computed in ``net``, over the states whose
+    outflow exceeds ``BALANCE_FLOOR``, where pi has not underflowed and is
+    not about to; infinite when no state is left."""
     counted = outflow > BALANCE_FLOOR
-    return float((net[counted] / outflow[counted]).max()) if counted.any() else np.inf
+    np.divide(net, scale, out=net, where=counted)
+    worst = net.max(where=counted, initial=-np.inf)
+    return np.inf if worst == -np.inf else float(worst)
 
 
 def _residuals(pi: np.ndarray, q: Generator) -> tuple[float, float]:
@@ -255,7 +257,7 @@ def _residuals(pi: np.ndarray, q: Generator) -> tuple[float, float]:
     outflow = pi * q.out
     # bincount adds each column's entries in row order
     net = np.abs(np.bincount(p.col, pi[p.row] * q.val, minlength=p.n) - outflow)
-    return float(net.max()), _balance(net, outflow)
+    return float(net.max()), _balance(net, outflow, outflow)
 
 
 def _reverse_cuthill_mckee(p: _Pattern) -> np.ndarray:
@@ -437,41 +439,52 @@ def _solve_gauss_seidel(q: Generator, budget=None) -> tuple[np.ndarray, int, boo
     # Each sweep solves (D + L) x' = -U x with Q^T = D + L + U, in the
     # chain's own state order: x'_i is the inflow into i, from the new x'
     # of lower-numbered states and the old x of higher-numbered ones, over
-    # the out-rate of i.  Every term is non-negative.  The forward
-    # substitution runs level by level (``_level_plan``) on y, which holds x
-    # in level order so that each level is a slice.
+    # the out-rate of i.  Every entry is divided by its target's out-rate
+    # once, before the first sweep, so x'_i is a sum of products of
+    # non-negative terms.  The forward substitution runs level by level
+    # (``_level_plan``) on y, which holds x in level order so that each
+    # level is a slice; each level's views of y and of the upper inflow are
+    # made once, and a level is four numpy calls: gather, multiply,
+    # bincount and add.  Only the first level, which holds state 0, has no
+    # lower entries: it is the upper inflow alone.  Every state of a later
+    # level has one, so bincount's result is as long as its level.
     #
     # By the sweep's own equations the lower terms of x' Q cancel:
     # (x' Q)_i = sum over upper entries q_ji (x'_j - x_j).  So with u(y) the
-    # upper inflow and y' = x' / total, (y' Q)_i is u(y')_i - u(y)_i / total,
-    # and u(y') is what the next sweep starts from.
+    # scaled upper inflow and y' = x' / total, (y' Q)_i / out_i is
+    # u(y')_i - u(y)_i / total, and u(y') is what the next sweep starts
+    # from.  The balance residual (``_balance``) divides that by y'_i.
     #
-    # The stop: the balance residual b (``_balance``) falls by a rate r per
-    # sweep, and the relative error left in pi is about b / (1 - r), so the
-    # sweeps stop once that is at most DEFAULT_TOL, with r measured over the
-    # last two sweeps.  On a chain that mixes slowly, r is near 1, and a
-    # balance residual of DEFAULT_TOL alone would leave an error many times
-    # larger.
+    # The stop: the balance residual b falls by a rate r per sweep, and the
+    # relative error left in pi is about b / (1 - r), so the sweeps stop once
+    # that is at most DEFAULT_TOL, with r measured over the last two sweeps.
+    # On a chain that mixes slowly, r is near 1, and a balance residual of
+    # DEFAULT_TOL alone would leave an error many times larger.
     order, levels, (upper, usrc, udst) = q.pattern.gs_plan
-    n, out, uval = order.size, q.out[order], q.val[upper]
-    levels = [(lo, hi, q.val[lower], src, local) for lo, hi, lower, src, local in levels]
+    n, out = order.size, q.out[order]
+    uval = q.val[upper] / out[udst]
     y = np.full(n, 1.0 / n)
     inflow = np.bincount(udst, uval * y[usrc], minlength=n)
+    cut = levels[0][1]
+    head = y[:cut], inflow[:cut]
+    levels = [
+        (y[lo:hi], inflow[lo:hi], q.val[lower] / out[lo:hi][local], src, local)
+        for lo, hi, lower, src, local in levels[1:]
+    ]
     sweep, stopped, older, old = 0, False, np.inf, np.inf
     for limit in (DEFAULT_MAX_ITER,) if budget is None else budget:
         while sweep < limit and not stopped:
             sweep += 1
-            for lo, hi, val, src, local in levels:
-                into = inflow[lo:hi]
-                if src.size:  # the first level needs no new values
-                    into = into + np.bincount(local, val * y[src], minlength=hi - lo)
-                np.divide(into, out[lo:hi], out=y[lo:hi])
+            np.copyto(*head)
+            for new, into, val, src, local in levels:
+                np.add(into, np.bincount(local, val * y[src]), out=new)
             total = y.sum()
-            if total == 0.0:
-                return np.zeros(n), sweep, False  # every entry underflowed
+            if not 0.0 < total < np.inf:  # all underflowed, or one overflowed
+                return np.zeros(n), sweep, False
             y /= total
-            previous, inflow = inflow, np.bincount(udst, uval * y[usrc], minlength=n)
-            balance = _balance(np.abs(inflow - previous / total), y * out)
+            update = np.bincount(udst, uval * y[usrc], minlength=n)
+            balance = _balance(np.abs(update - inflow / total), y, y * out)
+            inflow[:] = update
             stopped = balance <= DEFAULT_TOL * (1.0 - math.sqrt(balance / older))
             older, old = old, balance
         if stopped:
@@ -485,10 +498,10 @@ def _budget(p: _Pattern):
     """``auto``'s budget for Gauss-Seidel: about as many sweeps as the direct
     solve would cost, estimated in microseconds from the structure alone.
 
-    A sweep makes five numpy calls per level and ten more, and works on
-    each of Q's entries.  The direct solve takes a step of its per-state
-    loop for each state, and two flops per window entry of each pivot's
-    update.  Yields the sweeps that the per-state steps alone would cost, a
+    A sweep is priced as the one the constants were fitted to: five numpy
+    calls per level and ten more, and work on each of Q's entries.  The
+    direct solve takes a step of its per-state loop for each state, and two
+    flops per window entry of each pivot's update.  Yields the sweeps that the per-state steps alone would cost, a
     lower bound, and then those that all of it would: the envelope windows
     that price the flops, which the direct solve needs anyway, are derived
     only for a chain that Gauss-Seidel has not solved within the first.

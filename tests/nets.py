@@ -48,6 +48,21 @@ def mm1k_net(lam, mu, k):
     )
 
 
+def stiff_cycle_net():
+    """One token around A -> B -> C -> A at rates 1e-200, 1 and 1e200: pi
+    spans 400 orders of magnitude, past float64's range, and a Gauss-Seidel
+    sweep from the uniform vector overflows at once."""
+    return simple_net(
+        [("A", 1), ("B", 0), ("C", 0)],
+        [("ab", 1e-200), ("bc", 1.0), ("ca", 1e200)],
+        [
+            ("A", "ab", "pre", 1), ("B", "ab", "post", 1),
+            ("B", "bc", "pre", 1), ("C", "bc", "post", 1),
+            ("C", "ca", "pre", 1), ("A", "ca", "post", 1),
+        ],
+    )
+
+
 def mm1k_pi(lam, mu, k):
     """Closed-form M/M/1/K stationary queue-length distribution."""
     rho = lam / mu

@@ -13,7 +13,7 @@ from spnperf.cli import SWEEP_HEADER, main
 from spnperf.monitor import solve_model
 from spnperf.pubsub import PubSubParams, build_pubsub_net
 from spnperf.reachability import DEFAULT_MAX_STATES, explore
-from nets import mm1k_net, producer_consumer_net, simple_net
+from nets import mm1k_net, producer_consumer_net, simple_net, stiff_cycle_net
 from test_solver_oracle import GS_RTOL, assert_componentwise
 
 
@@ -247,6 +247,16 @@ def test_a_firing_past_int64_exits_3(tmp_path, capsys, argv):
     assert code == 3
     assert out == ""
     assert "place 'p' went past 2**63 - 1 tokens" in err
+
+
+def test_analyze_exits_3_on_a_chain_past_float64s_range(tmp_path, capsys):
+    # pi spans 400 orders of magnitude: Gauss-Seidel ends after its first
+    # sweep overflows, and the direct solve's result is refused too
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(capsys, "analyze", write_net(tmp_path, stiff_cycle_net()))
+    assert code == 3
+    assert out == ""
+    assert "no convergence after 1 sweeps and the direct solve" in err
 
 
 def test_analyze_exits_3_when_the_direct_solve_does_not_fit(tmp_path, capsys, monkeypatch):

@@ -11,7 +11,9 @@ from spnperf.solver import (
     steady_state,
     transition_throughput,
 )
-from nets import mm1k_net, mm1k_pi, producer_consumer_net, simple_net, two_state_net
+from nets import (
+    mm1k_net, mm1k_pi, producer_consumer_net, simple_net, stiff_cycle_net, two_state_net,
+)
 
 
 def test_symmetric_two_state_chain():
@@ -186,6 +188,20 @@ def test_gauss_seidel_gives_up_after_the_sweep_budget(monkeypatch):
     monkeypatch.setattr(solver, "DEFAULT_MAX_ITER", 1)
     with pytest.raises(solver.ConvergenceError) as exc:
         steady_state(explore(mm1k_net(1.0, 2.0, 20)), method="iterative")
+    assert exc.value.iterations == 1
+
+
+def test_gauss_seidel_stops_at_once_on_a_non_finite_sweep():
+    # the first sweep overflows; sweeping its NaNs on would run the whole
+    # budget of DEFAULT_MAX_ITER sweeps before the refusal
+    from spnperf import solver
+
+    ctmc = explore(stiff_cycle_net())
+    with np.errstate(over="ignore", invalid="ignore"):
+        _pi, sweeps, stopped = solver._solve_gauss_seidel(solver.generator(ctmc))
+        assert (sweeps, stopped) == (1, False)
+        with pytest.raises(solver.ConvergenceError) as exc:
+            steady_state(ctmc, method="iterative")
     assert exc.value.iterations == 1
 
 

@@ -468,6 +468,21 @@ def test_balance_stopped_gauss_seidel_matches_gth_on_random_chains(net):
         assert_matches_gth_where_balanced(ctmc, pi / pi.sum())
 
 
+@pytest.mark.parametrize("lam, mu, k", [(1.0, 1e8, 70), (1.0, 1e4, 200)])
+def test_gauss_seidel_on_an_underflowing_tail_matches_log_space_closed_form(lam, mu, k):
+    # pi falls by mu / lam a state, so the tail underflows to 0 and the stop
+    # test must pass over those states without dividing by them: no warning
+    ctmc = explore(mm1k_net(lam, mu, k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist = steady_state(ctmc, method="iterative")
+    pi = dist.probabilities
+    assert dist.method == "iterative" and (pi == 0).any()
+    expected = np.exp(mm1k_log_pi(lam, mu, k))[ctmc.markings[:, 1]]
+    covered = expected * solver.generator(ctmc).out > solver.BALANCE_FLOOR
+    assert_componentwise(pi[covered], expected[covered], GS_RTOL)
+
+
 # -- Gauss-Seidel against a sweep loop that re-solves its triangle ------------
 
 def reference_gauss_seidel(q, tol):
@@ -513,3 +528,17 @@ def test_gauss_seidel_matches_the_per_sweep_triangular_solve(overrides, n_states
     dist = steady_state(ctmc)
     assert (dist.method, dist.iterations) == ("iterative", sweeps)
     assert_componentwise(dist.probabilities, expected)
+
+
+@pytest.mark.parametrize("r_pub_qos, sweeps", [(0.25, 40), (1.0, 53), (4.0, 66)])
+def test_gauss_seidel_matches_the_per_sweep_triangular_solve_across_a_rate_sweep(
+    r_pub_qos, sweeps
+):
+    # the default structure, as the rate sweep solves it at three of its rates
+    ctmc = explore(build_pubsub_net(PubSubParams(r_pub_qos=r_pub_qos)))
+    expected, reference_sweeps = reference_gauss_seidel(
+        generator_matrix(ctmc), solver.DEFAULT_TOL
+    )
+    pi, iterations, stopped = solver._solve_gauss_seidel(solver.generator(ctmc))
+    assert stopped and iterations == reference_sweeps == sweeps
+    assert_componentwise(pi, expected)
