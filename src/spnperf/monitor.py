@@ -122,15 +122,22 @@ class MonitorPolicy:
 
 @dataclass(frozen=True)
 class DecisionRecord:
-    """Audit entry for one snapshot: metrics before/after, actions taken,
-    the outcome and why the loop stopped."""
+    """Audit entry for one snapshot: metrics before/after, actions taken
+    and why the loop stopped, which decides the outcome."""
 
     timestamp: float
     before: MetricsReport | None
     after: MetricsReport | None
     actions: tuple
-    outcome: str
     stop_reason: str
+
+    @property
+    def outcome(self) -> str:
+        """``compliant`` or ``evaluation_failed`` as the stop reason says,
+        else ``exhausted_actions``: the violation outlasted the actions."""
+        if self.stop_reason in (COMPLIANT, EVALUATION_FAILED):
+            return self.stop_reason
+        return EXHAUSTED_ACTIONS
 
 
 #: the last chain ``solve_model`` produced, the one it offers ``rerate`` next
@@ -268,23 +275,16 @@ def run_loop(
                 report = evaluate(candidate, max_states=max_states)
         except AnalysisError:
             records.append(
-                DecisionRecord(
-                    snap.timestamp, before, None, tuple(actions),
-                    EVALUATION_FAILED, EVALUATION_FAILED,
-                )
+                DecisionRecord(snap.timestamp, before, None, tuple(actions), EVALUATION_FAILED)
             )
             continue
 
         if not detect_degradation(report, policy):
-            outcome = reason = COMPLIANT
+            reason = COMPLIANT
+        elif next_action(candidate, policy, cand_level) is None:
+            reason = NO_ACTION_LEFT
         else:
-            outcome = EXHAUSTED_ACTIONS
-            if next_action(candidate, policy, cand_level) is None:
-                reason = NO_ACTION_LEFT
-            else:
-                reason = ACTION_BUDGET_SPENT
-        records.append(
-            DecisionRecord(snap.timestamp, before, report, tuple(actions), outcome, reason)
-        )
+            reason = ACTION_BUDGET_SPENT
+        records.append(DecisionRecord(snap.timestamp, before, report, tuple(actions), reason))
         params, qos_level = candidate, cand_level
     return records

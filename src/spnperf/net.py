@@ -6,14 +6,12 @@ kept as dense (place x transition) integer matrices: ``pre`` (tokens
 consumed), ``post`` (tokens produced) and ``inh`` (inhibition thresholds,
 0 meaning "no inhibitor arc").
 
-The firing kernel (``enabling_degree``) walks the arcs, not the dense
-matrices: it gathers the marking at each input and inhibitor arc's place,
-scatters the failed arc tests onto the enabled mask and takes an
-infinite-server transition's degree as the least ``tokens // weight`` over
-its input arcs.  The degree is 0 for a disabled transition and 1 for an
-enabled single-server one or one without inputs, so a rate is always
-``base rate * degree``: the degree holds the structure, the base rate the
-timing.
+The firing kernel (``enabling_degree``) is the GSPN enabling degree: a
+transition's degree is the least ``tokens // weight`` over its input arcs
+(1 if it has none), at most 1 for a single-server transition, and 0 where
+an inhibitor arc or a transition of higher priority disables it.  It walks
+the arcs, not the dense matrices.  A rate is always ``base rate * degree``:
+the degree holds the structure, the base rate the timing.
 """
 
 from __future__ import annotations
@@ -186,50 +184,43 @@ class SpnNet:
 
     @cached_property
     def _kernel_columns(self):
-        # the arcs as columns: input arcs (place, transition, weight) in
-        # transition order, inhibitor arcs (place, transition, threshold),
-        # the priorities (None when all are equal: then they mask nothing),
-        # and the infinite-server transitions with inputs, with the input
-        # arcs of each and the offset of each one's first arc among them
+        # the arcs as columns: input arcs (place, weight) in transition order,
+        # the offset of each fed transition's first one among them and the fed
+        # transitions, each transition's cap on its degree (1 for a single
+        # server), inhibitor arcs (place, transition, threshold) and the
+        # priorities (None when all are equal: then they mask nothing)
         in_trans, in_place = np.nonzero(self.pre.T)
         inh_trans, inh_place = np.nonzero(self.inh.T)
         prio = np.array([t.priority for t in self.transitions], dtype=np.int64)
-        infinite_arc = np.array(
-            [self.transitions[t].semantics == INFINITE_SERVER for t in in_trans.tolist()],
-            dtype=bool,
-        )
-        is_trans, is_place = in_trans[infinite_arc], in_place[infinite_arc]
-        first = np.flatnonzero(np.diff(is_trans, prepend=-1))
+        first = np.flatnonzero(np.diff(in_trans, prepend=-1))
+        infinite = np.array([t.semantics == INFINITE_SERVER for t in self.transitions])
         return _KernelColumns(
             in_place=in_place,
-            in_trans=in_trans,
             in_weight=self.pre[in_place, in_trans],
+            in_first=first,
+            fed=in_trans[first],
+            # a transition without inputs keeps its degree of 1 under any cap
+            cap=np.where(infinite, np.iinfo(np.int64).max, 1),
             inh_place=inh_place,
             inh_trans=inh_trans,
             inh_threshold=self.inh[inh_place, inh_trans],
             # neighbours compared, not np.unique: on numpy 2, np.unique without
             # return_* flags imports numpy.ma, about 27 ms of a cold call
             prio=prio if (prio[1:] != prio[:-1]).any() else None,
-            infinite=is_trans[first],
-            infinite_place=is_place,
-            infinite_weight=self.pre[is_place, is_trans],
-            infinite_first=first,
         )
 
 
 @dataclass(frozen=True)
 class _KernelColumns:
     in_place: np.ndarray
-    in_trans: np.ndarray
     in_weight: np.ndarray
+    in_first: np.ndarray
+    fed: np.ndarray
+    cap: np.ndarray
     inh_place: np.ndarray
     inh_trans: np.ndarray
     inh_threshold: np.ndarray
     prio: np.ndarray | None
-    infinite: np.ndarray
-    infinite_place: np.ndarray
-    infinite_weight: np.ndarray
-    infinite_first: np.ndarray
 
 
 def _violations(net: SpnNet) -> list[str]:
@@ -271,16 +262,19 @@ def _violations(net: SpnNet) -> list[str]:
 def enabling_degree(net: SpnNet, markings) -> np.ndarray:
     """The firing kernel: the enabling degree of every transition in a block of markings.
 
-    ``markings`` is an (F, n_places) integer array.  Returns an (F,
-    n_transitions) int64 array, 0 where a transition is disabled.  A
-    transition is enabled when every input place holds at least its arc
-    weight and every inhibitor place stays below its threshold; of those,
-    only the ones of maximal priority in the row remain enabled.  An
-    enabled single-server transition, or one without inputs, has degree 1;
-    an enabled infinite-server transition has the least ``tokens // weight``
-    over its input arcs.  A negative count raises ``TokenOverflowError``.
+    ``markings`` is an (F, n_places) block of counts.  Returns an (F,
+    n_transitions) int64 array: each transition's least ``tokens // weight``
+    over its input arcs (1 if it has none), at most 1 for a single-server
+    transition, then 0 where an inhibitor place holds its threshold or more
+    and where a transition of higher priority has a positive degree in the
+    row.  A value that is not a count raises ``ValueError``, a negative
+    count ``TokenOverflowError``.
     """
-    m = np.asarray(markings, dtype=np.int64)
+    # a dtype's kind, not np.issubdtype, which costs a one-row call 1 us
+    if isinstance(markings, np.ndarray) and markings.dtype.kind in "iu":
+        m = np.asarray(markings, dtype=np.int64)
+    else:
+        m = int_array(markings, "markings")
     if m.ndim != 2 or m.shape[1] != net.n_places:
         raise DimensionError(
             f"marking block shape {m.shape} does not match {net.n_places} places"
@@ -293,20 +287,17 @@ def enabling_degree(net: SpnNet, markings) -> np.ndarray:
             f"place {place!r} went past 2**63 - 1 tokens, where its int64 count wraps"
         )
     arcs = net._kernel_columns
-    enabled = np.ones((m.shape[0], net.n_transitions), dtype=bool)
-    rows, k = np.nonzero(m[:, arcs.in_place] < arcs.in_weight)
-    enabled[rows, arcs.in_trans[k]] = False
+    degree = np.ones((m.shape[0], net.n_transitions), dtype=np.int64)
+    degree[:, arcs.fed] = np.minimum.reduceat(
+        m[:, arcs.in_place] // arcs.in_weight, arcs.in_first, axis=1
+    )
+    np.minimum(degree, arcs.cap, out=degree)
     if arcs.inh_place.size:
         rows, k = np.nonzero(m[:, arcs.inh_place] >= arcs.inh_threshold)
-        enabled[rows, arcs.inh_trans[k]] = False
+        degree[rows, arcs.inh_trans[k]] = 0
     if arcs.prio is not None:
-        masked = np.where(enabled, arcs.prio, -1)
-        enabled &= masked == masked.max(axis=1, keepdims=True)
-    degree = enabled.astype(np.int64)
-    if arcs.infinite.size:
-        degree[:, arcs.infinite] *= np.minimum.reduceat(
-            m[:, arcs.infinite_place] // arcs.infinite_weight, arcs.infinite_first, axis=1
-        )
+        masked = np.where(degree > 0, arcs.prio, -1)
+        degree[masked < masked.max(axis=1, keepdims=True)] = 0
     return degree
 
 

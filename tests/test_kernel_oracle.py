@@ -10,16 +10,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spnperf.net import INFINITE_SERVER, enabled_rates, enabling_degree
+from spnperf.net import (
+    INFINITE_SERVER,
+    SINGLE_SERVER,
+    Place,
+    SpnNet,
+    Transition,
+    enabled_rates,
+    enabling_degree,
+)
 from spnperf.pubsub import PubSubParams, build_pubsub_net
 from spnperf.reachability import explore
 from test_explore_oracle import (
     bounded_nets,
     inhibitor_net,
+    mint_net,
     priority_net,
     weighted_infinite_server_net,
 )
-from nets import deadlock_net, mm1k_net, producer_consumer_net, self_loop_net
+from nets import deadlock_net, mm1k_net, producer_consumer_net, self_loop_net, simple_net
 
 
 def cube_enabled_rates(net, markings):
@@ -62,18 +71,35 @@ def assert_kernel_matches_cube(net, markings):
     [
         PubSubParams(),
         PubSubParams(n_events=4, net_recv_buffer=4, net_send_buffer=4, broker_memory=4),
+        # one block of 10,200 rows, past explore's BLOCK_ROWS of 2,048
+        PubSubParams(n_events=6, net_recv_buffer=4, net_send_buffer=4, broker_memory=8),
     ],
-    ids=["default", "3900"],
+    ids=["default", "3900", "10200"],
 )
 def test_every_pubsub_state_matches_cube(params):
     net = build_pubsub_net(params)
     assert_kernel_matches_cube(net, explore(net).markings)
 
 
+def unfed_infinite_server_net():
+    """An infinite-server transition without inputs beside a fed one of
+    higher priority: its degree is 1 unless its inhibitor (p >= 4) or the
+    fed one (p >= 2) zeroes it."""
+    return simple_net(
+        [("p", 0), ("q", 0)],
+        [("arrive", 1.0, 0, INFINITE_SERVER), ("serve", 2.0, 1, INFINITE_SERVER),
+         ("leave", 3.0)],
+        [("p", "arrive", "post", 1), ("p", "serve", "pre", 2), ("q", "serve", "post", 1),
+         ("q", "leave", "pre", 1)],
+        inh_arcs=[("p", "arrive", 4)],
+    )
+
+
 @pytest.mark.parametrize(
     "make",
     [priority_net, inhibitor_net, weighted_infinite_server_net, deadlock_net,
-     self_loop_net, producer_consumer_net, lambda: mm1k_net(1.0, 2.0, 10)],
+     self_loop_net, producer_consumer_net, lambda: mm1k_net(1.0, 2.0, 10),
+     mint_net, unfed_infinite_server_net],
 )
 def test_small_nets_match_cube_on_a_grid_of_markings(make):
     net = make()
@@ -89,8 +115,36 @@ def test_empty_block_gives_empty_results():
     assert enabled.shape == rates.shape == (0, net.n_transitions)
 
 
+@st.composite
+def kernel_nets(draw):
+    """Small nets with random input weights, inhibitors, priorities and
+    semantics, whose transitions may have no input arc; unlike
+    ``bounded_nets`` they need not be bounded, as only the kernel sees them."""
+    n_p = draw(st.integers(1, 4))
+    n_t = draw(st.integers(1, 4))
+    pre = np.zeros((n_p, n_t), dtype=np.int64)
+    inh = np.zeros((n_p, n_t), dtype=np.int64)
+    place = st.integers(0, n_p - 1)
+    for t in range(n_t):
+        for _ in range(draw(st.integers(0, 2))):
+            pre[draw(place), t] += draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            inh[draw(place), t] = draw(st.integers(1, 3))
+    transitions = tuple(
+        Transition(
+            f"t{t}",
+            draw(st.sampled_from([0.5, 1.0, 1.7, 3.0])),
+            draw(st.integers(0, 2)),
+            draw(st.sampled_from([SINGLE_SERVER, INFINITE_SERVER])),
+        )
+        for t in range(n_t)
+    )
+    places = tuple(Place(f"p{p}") for p in range(n_p))
+    return SpnNet(places, transitions, pre, np.zeros_like(pre), inh)
+
+
 @settings(max_examples=150, deadline=None)
-@given(bounded_nets(), st.data())
+@given(kernel_nets(), st.data())
 def test_random_nets_match_cube_on_random_markings(net, data):
     markings = data.draw(
         st.lists(

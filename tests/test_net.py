@@ -134,6 +134,18 @@ def test_a_count_past_int64_is_refused():
     assert enabling_degree(net, block[:0]).shape == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "block",
+    [[[2.9]], [[True]], [["3"]], np.array([[2.5]])],
+    ids=["float", "bool", "str", "float-array"],
+)
+def test_a_marking_block_of_other_values_than_counts_is_refused(block):
+    # numpy would truncate 2.9 to a degree of 2 and read True as 1 token
+    net = simple_net([("p", 3)], [("t", 1.0, 0, INFINITE_SERVER)], [("p", "t", "pre", 1)])
+    with pytest.raises(ValueError, match="markings must be integers"):
+        enabling_degree(net, block)
+
+
 def test_single_server_rate_is_marking_independent():
     net = simple_net([("p", 5)], [("t", 3.0)], [("p", "t", "pre", 1)])
     enabled, rates = enabled_rates(net, [(5,), (1,)])
