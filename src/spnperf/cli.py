@@ -17,7 +17,7 @@ from .monitor import run_loop, solve_model
 from .net import AnalysisError, InvalidNetError
 from .pubsub import FACTOR_NAMES, NETWORK_BUFFERS, PubSubParams, build_pubsub_net, set_factor
 from .reachability import DEFAULT_MAX_STATES
-from .simulator import estimate_metrics
+from .simulator import default_metrics, estimate_metrics
 
 # Not called here: perfbench/tracing.py times each layer by patching these
 # names in this module, so they must stay importable from it.
@@ -126,10 +126,10 @@ def cmd_simulate(args) -> int:
     except AnalysisError:
         pass  # no analytic values: the estimates are printed alone
     else:
-        analytic = {
-            **{f"throughput:{k}": v for k, v in report.transition_throughputs.items()},
-            **{f"mean_tokens:{k}": v for k, v in report.mean_tokens.items()},
-        }
+        analytic = dict(zip(
+            default_metrics(net),
+            [*report.transition_throughputs.values(), *report.mean_tokens.values()],
+        ))
         for name, entry in doc["metrics"].items():
             value = analytic[name]
             entry["analytic"] = value

@@ -299,14 +299,3 @@ def enabling_degree(net: SpnNet, markings) -> np.ndarray:
         masked = np.where(degree > 0, arcs.prio, -1)
         degree[masked < masked.max(axis=1, keepdims=True)] = 0
     return degree
-
-
-def enabled_rates(net: SpnNet, markings) -> tuple[np.ndarray, np.ndarray]:
-    """Enabled transitions and their rates for a block of markings.
-
-    Returns the (F, n_transitions) boolean mask ``degree > 0`` and the
-    effective rates ``base rate * degree`` (0.0 where disabled) of the
-    ``enabling_degree`` block.
-    """
-    degree = enabling_degree(net, markings)
-    return degree > 0, net.base_rates * degree

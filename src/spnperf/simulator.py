@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import SpnNet, enabled_rates, is_count, is_real
+from .net import SpnNet, enabling_degree, is_count, is_real
 
 
 @dataclass(frozen=True)
@@ -77,23 +77,6 @@ def _check_seed(name: str, seed) -> None:
         raise ValueError(f"{name} must be an integer from 0 to 2**63 - 1, got {seed!r}")
 
 
-def _event_entries(net: SpnNet, markings) -> list:
-    """The enabled transitions (a tuple) and their mean delays 1/rate (a
-    list of floats) of each marking in ``markings``, from one kernel call."""
-    block = np.array(markings, dtype=np.int64).reshape(len(markings), net.n_places)
-    enabled, rates = enabled_rates(net, block)
-    out = []
-    for on, r in zip(enabled, rates):
-        ts = np.flatnonzero(on)
-        out.append((tuple(ts.tolist()), (1.0 / r[ts]).tolist()))
-    return out
-
-
-def _successors(net: SpnNet, m, enabled) -> list:
-    """The marking each transition of ``enabled`` leads to from ``m``, as tuples."""
-    return list(map(tuple, (net.delta[list(enabled)] + m).tolist()))
-
-
 class _MarkingTable:
     """Markings -> entries ``[row, enabled, scales, links]``, shared by the
     replications of one ``estimate_metrics`` call.
@@ -117,18 +100,24 @@ class _MarkingTable:
         return len(self.entries)
 
     def enter(self, markings) -> list:
-        """Entries for markings the table lacks, from one kernel call."""
+        """Entries for markings the table lacks: their rows are written and
+        handed to the firing kernel as one block."""
+        first = len(self.entries)
+        block = self.marks[first : first + len(markings)]
+        block[:] = markings
+        degree = enabling_degree(self.net, block)
+        rates = self.net.base_rates * degree
         out = []
-        for m, (enabled, scales) in zip(markings, _event_entries(self.net, markings)):
-            row = len(self.entries)
-            self.marks[row] = m
-            entry = self.entries[m] = [row, enabled, scales, None]
+        for row, (m, d, r) in enumerate(zip(markings, degree, rates), first):
+            ts = np.flatnonzero(d)
+            entry = self.entries[m] = [row, tuple(ts.tolist()), (1.0 / r[ts]).tolist(), None]
             out.append(entry)
         return out
 
     def visit(self, entry: list) -> list:
         """Resolve ``entry``'s links in place, and return them."""
-        successors = _successors(self.net, self.marks[entry[0]], entry[1])
+        row, enabled = entry[0], entry[1]
+        successors = list(map(tuple, (self.net.delta[list(enabled)] + self.marks[row]).tolist()))
         new = [m for m in dict.fromkeys(successors) if m not in self.entries]
         if new:
             self.enter(new)

@@ -350,7 +350,7 @@ def _eliminate(a: np.ndarray, start: np.ndarray):
         a[win, win] += cols.T @ rows
 
 
-def _solve_direct(q: Generator) -> tuple[np.ndarray, int]:
+def _solve_direct(q: Generator) -> np.ndarray:
     # GTH state elimination.  Every operation adds, multiplies or divides
     # non-negative rates -- no cancellation -- so the probabilities keep
     # componentwise relative accuracy in any elimination order (O'Cinneide
@@ -385,7 +385,7 @@ def _solve_direct(q: Generator) -> tuple[np.ndarray, int]:
             x[: k + 1] = np.ldexp(x[: k + 1], -math.frexp(v)[1])
     pi = np.empty(n)
     pi[p.rcm] = x / x.sum()
-    return pi, 0
+    return pi
 
 
 def _level_plan(p: _Pattern) -> tuple:
@@ -528,7 +528,7 @@ def _solve_auto(q: Generator) -> tuple[np.ndarray, int, str]:
     if stopped:
         return pi, sweeps, "iterative"
     if fits:
-        return _solve_direct(q)[0], sweeps, "direct"
+        return _solve_direct(q), sweeps, "direct"
     raise ConvergenceError(
         _residuals(pi, q)[1], sweeps, "iterative",
         f"; the direct solve needs {dense / 2**20:.0f} MiB,"
@@ -557,7 +557,7 @@ def steady_state(ctmc: Ctmc, method: str = "auto") -> StationaryDistribution:
         return StationaryDistribution(np.array([1.0]), 0.0, "direct")
 
     if method == "direct":
-        pi, iters = _solve_direct(q)[0], 0
+        pi, iters = _solve_direct(q), 0
     elif method == "iterative":
         pi, iters, stopped = _solve_gauss_seidel(q)
         if not stopped:

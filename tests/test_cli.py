@@ -450,7 +450,7 @@ def test_max_states_must_be_at_least_1(tmp_path, params_file, capsys, value):
         assert "--max-states" in err
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "abc"])
 def test_horizon_must_be_finite_and_positive(params_file, capsys, value):
     err = parse_error(capsys, "simulate", params_file, "--horizon", value)
     assert "--horizon" in err
@@ -714,9 +714,7 @@ def test_analyze_prints_finite_json_for_a_stiff_tail(tmp_path, capsys):
 
 
 def test_non_finite_distribution_exits_3(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(
-        solver, "_solve_direct", lambda q: (np.full(q.shape[0], np.nan), 0)
-    )
+    monkeypatch.setattr(solver, "_solve_direct", lambda q: np.full(q.shape[0], np.nan))
     code, out, err = run_cli(capsys, "analyze", write_net(tmp_path, mm1k_net(1.0, 2.0, 3)))
     assert code == 3
     assert out == ""

@@ -26,7 +26,7 @@ from spnperf.net import (
 )
 from spnperf.pubsub import PubSubParams, build_pubsub_net
 from spnperf.reachability import StateExplosionError, explore
-from spnperf.simulator import _event_entries, _successors
+from spnperf.simulator import _MarkingTable
 from nets import (
     deadlock_net,
     mm1k_net,
@@ -373,8 +373,10 @@ def test_simulator_marking_info_matches_oracle(net):
     # stream, so both must equal the scalar logic's exactly
     states, _edges, _deadlocks = oracle_explore(net)
     for m in states:
-        [(enabled, scales)] = _event_entries(net, [m])
-        successors = _successors(net, m, enabled)
+        table = _MarkingTable(net)
+        [entry] = table.enter([m])
+        _row, enabled, scales, _links = entry
+        successors = [tuple(table.marks[e[0]].tolist()) for e in table.visit(entry)]
         expected = _scalar_enabled(net, m)
         assert enabled == tuple(expected)
         assert scales == [1.0 / _scalar_rate(net, m, t) for t in expected]

@@ -132,6 +132,14 @@ def test_apply_action_grows_and_never_shrinks():
     assert grown.r_pub_qos == pytest.approx(4.0)  # lower level, faster processing
 
 
+def test_apply_action_refuses_a_qos_level_below_0_and_an_unknown_action():
+    policy = MonitorPolicy(1.0, 1.0)
+    with pytest.raises(ValueError, match="^QoS level is already at its minimum$"):
+        apply_action(PubSubParams(), policy, LOWER_QOS_LEVEL, 0)
+    with pytest.raises(ValueError, match="^unknown action 'shrink'$"):
+        apply_action(PubSubParams(), policy, "shrink", 1)
+
+
 def test_apply_action_clamps_to_cap():
     policy = MonitorPolicy(1.0, 1.0, step=8, caps={"broker_memory": 5})
     grown, _ = apply_action(PubSubParams(), policy, GROW_BROKER_MEMORY, 1)

@@ -11,7 +11,6 @@ from spnperf.net import (
     SpnNet,
     TokenOverflowError,
     Transition,
-    enabled_rates,
     enabling_degree,
 )
 from nets import simple_net, self_loop_net
@@ -148,9 +147,9 @@ def test_a_marking_block_of_other_values_than_counts_is_refused(block):
 
 def test_single_server_rate_is_marking_independent():
     net = simple_net([("p", 5)], [("t", 3.0)], [("p", "t", "pre", 1)])
-    enabled, rates = enabled_rates(net, [(5,), (1,)])
-    assert enabled.tolist() == [[True], [True]]
-    assert rates.tolist() == [[3.0], [3.0]]
+    degree = enabling_degree(net, [(5,), (1,)])
+    assert (degree > 0).tolist() == [[True], [True]]
+    assert (net.base_rates * degree).tolist() == [[3.0], [3.0]]
 
 
 def test_infinite_server_rate_scales_with_enabling_degree():
@@ -159,7 +158,7 @@ def test_infinite_server_rate_scales_with_enabling_degree():
         [("t", 2.0, 0, INFINITE_SERVER)],
         [("p", "t", "pre", 1)],
     )
-    assert enabled_rates(net, [(3,)])[1].tolist() == [[6.0]]
+    assert (net.base_rates * enabling_degree(net, [(3,)])).tolist() == [[6.0]]
 
 
 def test_infinite_server_degree_uses_floor():
@@ -168,7 +167,7 @@ def test_infinite_server_degree_uses_floor():
         [("t", 2.0, 0, INFINITE_SERVER)],
         [("p", "t", "pre", 2)],
     )
-    assert enabled_rates(net, [(5,)])[1].tolist() == [[4.0]]
+    assert (net.base_rates * enabling_degree(net, [(5,)])).tolist() == [[4.0]]
 
 
 @st.composite
@@ -230,6 +229,18 @@ def test_negative_matrix_weights_are_refused(label):
     mats = {"pre": [[1]], "post": [[1]], "inh": [[0]], label: [[-1]]}
     with pytest.raises(ValueError, match=f"^negative entries in {label} matrix$"):
         SpnNet((Place("a", 1),), (Transition("t", 1.0),), **mats)
+
+
+@pytest.mark.parametrize("label", ["pre", "post", "inh"])
+def test_a_matrix_of_the_wrong_shape_is_refused(label):
+    mats = {"pre": [[1]], "post": [[1]], "inh": [[0]], label: [[1, 1]]}
+    with pytest.raises(DimensionError, match=r"^matrix shape \(1, 2\) != expected \(1, 1\)$"):
+        SpnNet((Place("a", 1),), (Transition("t", 1.0),), **mats)
+
+
+def test_a_net_without_transitions_is_a_violation():
+    with pytest.raises(InvalidNetError, match="net has no transitions"):
+        SpnNet((Place("a", 1),), (), [[]], [[]])
 
 
 def test_integer_arrays_and_lists_stay_legal():

@@ -131,6 +131,12 @@ def test_place_invariant_weights_are_refused_not_truncated(weights, expected, ba
         check_place_invariant(ctmc, weights, expected)
 
 
+def test_place_invariant_weights_of_the_wrong_length_are_refused():
+    ctmc = explore(mm1k_net(1.0, 2.0, 2))
+    with pytest.raises(ValueError, match=r"^weight vector length \(3,\) does not match 2 places$"):
+        check_place_invariant(ctmc, [1, 1, 1], 2)
+
+
 def test_place_invariant_takes_integer_arrays_and_negative_weights():
     ctmc = explore(mm1k_net(1.0, 2.0, 2))
     assert check_place_invariant(ctmc, np.array([1, 1], dtype=np.int32), 2) is None

@@ -219,7 +219,7 @@ def test_student_t_quantile_matches_stdtrit_for_df_up_to_1000():
         assert student_t_quantile(df, 0.975) == pytest.approx(want, rel=1e-13, abs=0), df
 
 
-@pytest.mark.parametrize("p", [0.025, 0.1, 0.6, 0.9, 0.995])
+@pytest.mark.parametrize("p", [0.025, 0.1, 0.5, 0.6, 0.9, 0.995])
 @pytest.mark.parametrize("df", [1, 2, 3, 7, 29, 300])
 def test_student_t_quantile_at_other_probabilities(df, p):
     want = float(scipy.special.stdtrit(df, p))

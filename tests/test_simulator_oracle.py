@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spnperf import simulator
-from spnperf.net import enabled_rates
+from spnperf.net import enabling_degree
 from spnperf.pubsub import PubSubParams, build_pubsub_net
 from spnperf.simulator import RunResult, estimate_metrics, simulate_run
 from nets import deadlock_net, mm1k_net, self_loop_net, simple_net
@@ -49,9 +49,9 @@ def oracle_run(net, horizon, warmup=None, seed=0, *, events=None, _cache=None):
         info = cache.get(m)
         if info is None:
             arr = np.array(m, dtype=np.int64)
-            enabled, rates = enabled_rates(net, arr[None, :])
-            ts = np.flatnonzero(enabled[0])
-            info = cache[m] = (ts, 1.0 / rates[0, ts], arr)
+            degree = enabling_degree(net, arr[None, :])[0]
+            ts = np.flatnonzero(degree)
+            info = cache[m] = (ts, 1.0 / (net.base_rates * degree)[ts], arr)
         ts, scales, arr = info
         deadlocked = ts.size == 0
         if deadlocked:
@@ -334,7 +334,7 @@ def test_first_estimate_discovers_successors_in_blocks(monkeypatch):
     # a new marking's successors reach the firing kernel as one block, so
     # the kernel is asked fewer times than the table gains markings
     calls = []
-    real_kernel = simulator.enabled_rates
+    real_kernel = simulator.enabling_degree
 
     def spy(net, markings):
         calls.append(len(markings))
@@ -347,7 +347,7 @@ def test_first_estimate_discovers_successors_in_blocks(monkeypatch):
         tables.append(_cache)
         return real_run(*args, _cache=_cache, **kwargs)
 
-    monkeypatch.setattr(simulator, "enabled_rates", spy)
+    monkeypatch.setattr(simulator, "enabling_degree", spy)
     monkeypatch.setattr(simulator, "simulate_run", keep)
     estimate_metrics(build_pubsub_net(PubSubParams()), 1000.0, replications=2)
     assert len(calls) < len(tables[0]) == sum(calls)

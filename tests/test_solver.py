@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spnperf.reachability import explore
+from spnperf.reachability import Ctmc, explore
 from spnperf.pubsub import PubSubParams, build_pubsub_net, headline_metrics
 from spnperf.solver import (
     ChainStructureError,
@@ -111,6 +111,20 @@ def test_little_quotient():
         response_time_little(-1.0, 1.0)
 
 
+def test_an_empty_chain_an_unknown_method_and_a_foreign_distribution_are_refused():
+    ctmc = explore(mm1k_net(1.0, 2.0, 3))
+    with pytest.raises(ValueError, match="^unknown method 'lu'$"):
+        steady_state(ctmc, method="lu")
+    columns = (ctmc.markings, ctmc.src, ctmc.dst, ctmc.trans, ctmc.degree)
+    empty = Ctmc(ctmc.net, *(a[:0] for a in columns), frozenset())
+    with pytest.raises(ValueError, match="^empty chain$"):
+        steady_state(empty)
+    # the M/M/1/2 chain's 3 probabilities are no distribution of M/M/1/3's 4 states
+    other = steady_state(explore(mm1k_net(1.0, 2.0, 2)))
+    with pytest.raises(ValueError, match="^distribution does not match the chain$"):
+        mean_token_count(ctmc, other, "Queue")
+
+
 def test_deadlock_is_a_structure_error():
     net = simple_net(
         [("a", 1), ("b", 0)],
@@ -217,7 +231,11 @@ def test_gauss_seidel_stops_at_once_on_a_non_finite_sweep():
 def test_a_refused_solve_names_its_path(monkeypatch, method, target, message, value):
     from spnperf import solver
 
-    monkeypatch.setattr(solver, target, lambda q: (np.full(q.shape[0], value), 7, True))
+    def stub(q):
+        pi = np.full(q.shape[0], value)
+        return pi if target == "_solve_direct" else (pi, 7, True)
+
+    monkeypatch.setattr(solver, target, stub)
     with pytest.raises(solver.ConvergenceError, match=message):
         steady_state(explore(mm1k_net(1.0, 2.0, 3)), method=method)
 

@@ -220,7 +220,7 @@ def test_random_irreducible_chains_match_dense(net):
     ctmc = explore(net)
     q = generator_matrix(ctmc)
     expected = dense_gth(q)
-    pi, _iterations = solver._solve_direct(solver.generator(ctmc))
+    pi = solver._solve_direct(solver.generator(ctmc))
     assert_componentwise(pi, expected)
     assert_componentwise(steady_state(ctmc, method="direct").probabilities, expected)
 
@@ -310,7 +310,7 @@ def test_non_finite_distribution_is_refused(monkeypatch, bad):
     def broken(q):
         pi = np.full(q.shape[0], 0.5)
         pi[0] = bad
-        return pi, 0
+        return pi
 
     monkeypatch.setattr(solver, "_solve_direct", broken)
     with pytest.raises(ConvergenceError):
