@@ -13,8 +13,8 @@ from spnperf.monitor import solve_model
 from spnperf.pubsub import set_factor
 
 
-def evaluate(params):
-    ctmc, _dist, report = solve_model(params)
+def evaluate(params, held):
+    ctmc, _dist, report = solve_model(params, held=held)
     return (
         report.response_times["accept_publication_response_time"],
         report.response_times["notification_response_time"],
@@ -25,8 +25,9 @@ def evaluate(params):
 def sweep(title, apply, values):
     print(title)
     print(f"  {'value':>6} {'accept RT':>10} {'notify RT':>10} {'states':>7}")
+    held = []  # the table's last chain, re-rated when only a rate changes
     for value in values:
-        accept, notify, states = evaluate(apply(PubSubParams(), value))
+        accept, notify, states = evaluate(apply(PubSubParams(), value), held)
         print(f"  {value!s:>6} {accept:10.4f} {notify:10.4f} {states:>7}")
     print()
 

@@ -94,15 +94,16 @@ def cmd_sweep(args) -> int:
         points.append((value, params))
 
     print(SWEEP_HEADER)
+    held = []
     for value, params in points:
-        ctmc, dist, report = solve_model(params, args.max_states)
+        dist, report = solve_model(params, args.max_states, held)[1:]
         accept = report.response_times["accept_publication_response_time"]
         notify = report.response_times["notification_response_time"]
         row = (
             repr(value),
             "nan" if accept is None else repr(accept),
             "nan" if notify is None else repr(notify),
-            str(ctmc.n_states),
+            str(dist.probabilities.size),
             repr(dist.residual),
         )
         print(",".join(row))

@@ -140,37 +140,36 @@ class DecisionRecord:
         return EXHAUSTED_ACTIONS
 
 
-#: the last chain ``solve_model`` produced, the one it offers ``rerate`` next
-_last_solved = [None]
-
-
-def solve_model(model, max_states: int = DEFAULT_MAX_STATES):
+def solve_model(model, max_states: int = DEFAULT_MAX_STATES, held=None):
     """Explore and solve a model; return ``(ctmc, dist, report)``.
 
     ``model`` is a ``PubSubParams``, reported by ``headline_metrics``, or an
     ``SpnNet``, reported by ``chain_metrics``.  This is the only path from
-    a model to its metrics, and the one owner of chain reuse: when the
-    model's net differs from the net of the last chain solved here only in
-    transition rates, that chain is re-rated instead of explored again
-    (``reachability.rerate``); otherwise it is dropped before exploring, so
-    that one chain at a time is held.
+    a model to its metrics, and the one owner of chain reuse: ``held`` is a
+    list that a loop of solves passes to each call, empty or holding the
+    chain of the call before.  When the model's net differs from that
+    chain's only in transition rates, the chain is re-rated instead of
+    explored again (``reachability.rerate``); otherwise it is dropped before
+    exploring, so one chain at a time is alive.  Without ``held`` every call
+    explores, and no chain outlives it.
     """
     is_params = isinstance(model, PubSubParams)
     net = build_pubsub_net(model) if is_params else model
-    previous, _last_solved[0] = _last_solved[0], None
-    ctmc = None if previous is None else rerate(previous, net, max_states)
-    previous = None  # dropped before explore builds a second chain
+    ctmc = rerate(held.pop(), net, max_states) if held else None
     if ctmc is None:
         ctmc = explore(net, max_states=max_states)
-    _last_solved[0] = ctmc
+    if held is not None:
+        held.append(ctmc)
     dist = steady_state(ctmc)
     report = headline_metrics(ctmc, dist) if is_params else chain_metrics(ctmc, dist)
     return ctmc, dist, report
 
 
-def evaluate(params: PubSubParams, max_states: int = DEFAULT_MAX_STATES) -> MetricsReport:
+def evaluate(
+    params: PubSubParams, max_states: int = DEFAULT_MAX_STATES, held=None
+) -> MetricsReport:
     """Build the net, solve its CTMC and return the headline metrics."""
-    return solve_model(params, max_states)[2]
+    return solve_model(params, max_states, held)[2]
 
 
 def detect_degradation(report: MetricsReport, policy: MonitorPolicy) -> list[str]:
@@ -249,7 +248,7 @@ def run_loop(
     because the action budget was spent while one still did
     (``action_budget_spent``).
     """
-    records = []
+    records, held = [], []
     qos_level = policy.initial_qos_level
     for snap in trace:
         candidate = dataclasses.replace(
@@ -262,7 +261,7 @@ def run_loop(
         actions = []
         cand_level = qos_level
         try:
-            before = report = evaluate(candidate, max_states=max_states)
+            before = report = evaluate(candidate, max_states, held)
             while (
                 detect_degradation(report, policy)
                 and len(actions) < policy.max_actions_per_snapshot
@@ -272,7 +271,7 @@ def run_loop(
                     break
                 candidate, cand_level = apply_action(candidate, policy, action, cand_level)
                 actions.append(action)
-                report = evaluate(candidate, max_states=max_states)
+                report = evaluate(candidate, max_states, held)
         except AnalysisError:
             records.append(
                 DecisionRecord(snap.timestamp, before, None, tuple(actions), EVALUATION_FAILED)

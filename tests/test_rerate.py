@@ -6,6 +6,7 @@ any change of structure must explore afresh.
 
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -117,9 +118,9 @@ def _net_changes():
 def test_a_changed_net_structure_explores_afresh(change, monkeypatch):
     net, changed = _net_changes()
     assert rerate(explore(net), changed[change]) is None
-    calls = counting_explore(monkeypatch)
-    monitor.solve_model(net)
-    ctmc, _dist, _report = monitor.solve_model(changed[change])
+    calls, held = counting_explore(monkeypatch), []
+    monitor.solve_model(net, held=held)
+    ctmc, _dist, _report = monitor.solve_model(changed[change], held=held)
     assert calls == [net, changed[change]]
     assert_same_chain(ctmc, explore(changed[change]))
 
@@ -130,26 +131,73 @@ def test_a_changed_net_structure_explores_afresh(change, monkeypatch):
     ids=["buffer", "memory", "events", "publishers"],
 )
 def test_a_changed_pubsub_structure_explores_afresh(overrides, monkeypatch):
-    calls = counting_explore(monkeypatch)
-    monitor.solve_model(PubSubParams())
+    calls, held = counting_explore(monkeypatch), []
+    monitor.solve_model(PubSubParams(), held=held)
     params = PubSubParams(**overrides)
-    ctmc = monitor.solve_model(params)[0]
+    ctmc = monitor.solve_model(params, held=held)[0]
     assert len(calls) == 2
     assert_same_chain(ctmc, explore(calls[1]))
 
 
 def test_a_rate_change_reuses_the_chain(monkeypatch):
-    calls = counting_explore(monkeypatch)
-    previous = monitor.solve_model(PubSubParams())[0]
+    calls, held = counting_explore(monkeypatch), []
+    previous = monitor.solve_model(PubSubParams(), held=held)[0]
     params = PubSubParams(r_pub_qos=3.0)
-    ctmc, dist, report = monitor.solve_model(params)
+    ctmc, dist, report = monitor.solve_model(params, held=held)
     assert len(calls) == 1
     assert ctmc.markings is previous.markings
-    monkeypatch.setattr(monitor, "rerate", lambda previous, net, max_states: None)
     fresh_ctmc, fresh_dist, fresh_report = monitor.solve_model(params)
     assert len(calls) == 2
     assert (dist.probabilities == fresh_dist.probabilities).all()
     assert report == fresh_report
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (PubSubParams(), PubSubParams(r_pub_qos=3.0)),
+        (weighted_infinite_server_net(), with_rates(weighted_infinite_server_net(), [0.25, 5.0])),
+    ],
+    ids=["pubsub", "net"],
+)
+def test_calls_without_a_holder_each_explore(first, second, monkeypatch):
+    # a call given no holder keeps no chain, so the next call cannot re-rate it
+    calls = counting_explore(monkeypatch)
+    monitor.solve_model(first)
+    monitor.solve_model(second)
+    assert len(calls) == 2
+
+
+def _sweep_broker_memory(tmp_path):
+    model = tmp_path / "params.json"
+    model.write_text(json.dumps(files.params_to_document(PubSubParams())))
+    assert main(["sweep", str(model), "--factor", "broker_memory", "--values", "2,4,6"]) == 0
+
+
+def _grow_broker_memory(tmp_path):
+    policy = monitor.MonitorPolicy(
+        0.0, 0.0, action_order=(monitor.GROW_BROKER_MEMORY,), max_actions_per_snapshot=2
+    )
+    monitor.run_loop([monitor.WorkloadSnapshot(1.0, 2, 2, 3)], PubSubParams(), policy)
+
+
+@pytest.mark.parametrize(
+    "run", [_sweep_broker_memory, _grow_broker_memory], ids=["sweep", "run_loop"]
+)
+def test_no_earlier_chain_is_alive_when_explore_starts(run, tmp_path, monkeypatch):
+    # each of the three solves explores a new structure; the chain before it
+    # must already be freed, so that one chain at a time is held
+    chains, alive = [], []
+
+    def spied(net, max_states):
+        alive.append(sum(ref() is not None for ref in chains))
+        ctmc = explore(net, max_states=max_states)
+        chains.append(weakref.ref(ctmc))
+        return ctmc
+
+    monkeypatch.setattr(monitor, "explore", spied)
+    run(tmp_path)
+    assert alive == [0, 0, 0]
 
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
@@ -167,9 +215,10 @@ def test_max_states_holds_on_the_reuse_path():
     with pytest.raises(StateExplosionError) as exc:
         rerate(previous, new, max_states=1259)
     assert exc.value.limit == 1259
-    monitor.solve_model(net)
+    held = []
+    monitor.solve_model(net, held=held)
     with pytest.raises(StateExplosionError):
-        monitor.solve_model(new, max_states=1259)
+        monitor.solve_model(new, max_states=1259, held=held)
 
 
 def test_renamed_transitions_rerate():
