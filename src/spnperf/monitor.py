@@ -20,7 +20,6 @@ from .pubsub import (
     PubSubParams,
     build_pubsub_net,
     headline_metrics,
-    qos_rate,
     set_factor,
 )
 from .reachability import DEFAULT_MAX_STATES, explore, rerate
@@ -221,7 +220,7 @@ def apply_action(
         if qos_level <= 0:
             raise ValueError("QoS level is already at its minimum")
         new_level = qos_level - 1
-        new_rate = params.r_pub_qos * qos_rate(1.0, new_level) / qos_rate(1.0, qos_level)
+        new_rate = params.r_pub_qos * QOS_LEVEL_RATE_FACTOR[new_level] / QOS_LEVEL_RATE_FACTOR[qos_level]
         return set_factor(params, "r_pub_qos", new_rate), new_level
     if action not in _GROWS:
         raise ValueError(f"unknown action {action!r}")

@@ -125,14 +125,6 @@ class SpnNet:
         if violations:
             raise InvalidNetError(violations)
 
-    @cached_property
-    def _place_index(self):
-        return {p.name: i for i, p in enumerate(self.places)}
-
-    @cached_property
-    def _transition_index(self):
-        return {t.name: i for i, t in enumerate(self.transitions)}
-
     @property
     def n_places(self) -> int:
         return len(self.places)
@@ -140,18 +132,6 @@ class SpnNet:
     @property
     def n_transitions(self) -> int:
         return len(self.transitions)
-
-    def place_index(self, name: str) -> int:
-        try:
-            return self._place_index[name]
-        except KeyError:
-            raise KeyError(f"unknown place {name!r}") from None
-
-    def transition_index(self, name: str) -> int:
-        try:
-            return self._transition_index[name]
-        except KeyError:
-            raise KeyError(f"unknown transition {name!r}") from None
 
     def initial_marking(self) -> tuple:
         return tuple(p.tokens for p in self.places)

@@ -229,9 +229,3 @@ def set_factor(params: PubSubParams, factor: str, value) -> PubSubParams:
         raise ValueError(f"unknown factor {factor!r}; expected one of {FACTOR_NAMES}")
     return dataclasses.replace(params, **{factor: value})
 
-
-def qos_rate(base_rate: float, level: int) -> float:
-    """QoS processing rate at a discrete QoS level, from the base (level 1) rate."""
-    if level not in QOS_LEVEL_RATE_FACTOR:
-        raise ValueError(f"QoS level must be one of {sorted(QOS_LEVEL_RATE_FACTOR)}")
-    return base_rate * QOS_LEVEL_RATE_FACTOR[level] / QOS_LEVEL_RATE_FACTOR[1]

@@ -501,10 +501,11 @@ def _budget(p: _Pattern):
     A sweep is priced as the one the constants were fitted to: five numpy
     calls per level and ten more, and work on each of Q's entries.  The
     direct solve takes a step of its per-state loop for each state, and two
-    flops per window entry of each pivot's update.  Yields the sweeps that the per-state steps alone would cost, a
-    lower bound, and then those that all of it would: the envelope windows
-    that price the flops, which the direct solve needs anyway, are derived
-    only for a chain that Gauss-Seidel has not solved within the first.
+    flops per window entry of each pivot's update.  Yields the sweeps that
+    the per-state steps alone would cost, a lower bound, and then those that
+    all of it would: the envelope windows that price the flops, which the
+    direct solve needs anyway, are derived only for a chain that
+    Gauss-Seidel has not solved within the first.
     """
     sweep = NUMPY_CALL_US * (5 * len(p.gs_plan[1]) + 10) + ENTRY_US * p.row.size
     steps = GTH_STATE_US * p.n
@@ -577,51 +578,36 @@ def steady_state(ctmc: Ctmc, method: str = "auto") -> StationaryDistribution:
     return StationaryDistribution(pi, residual, method, iters, balance)
 
 
-def _check_dist(ctmc: Ctmc, dist: StationaryDistribution):
-    if dist.probabilities.shape != (ctmc.n_states,):
+def chain_metrics(ctmc: Ctmc, dist: StationaryDistribution) -> MetricsReport:
+    """Every transition's throughput and every place's mean token count."""
+    pi = dist.probabilities
+    if pi.shape != (ctmc.n_states,):
         raise ValueError("distribution does not match the chain")
-
-
-def _flows(ctmc: Ctmc, dist: StationaryDistribution) -> np.ndarray:
+    net = ctmc.net
     # bincount adds each transition's edges in edge order, like a plain sum
-    return np.bincount(
-        ctmc.trans, dist.probabilities[ctmc.src] * ctmc.rate, minlength=ctmc.net.n_transitions
-    )
-
-
-def _tokens(ctmc: Ctmc, dist: StationaryDistribution, p: int) -> float:
+    flows = np.bincount(ctmc.trans, pi[ctmc.src] * ctmc.rate, minlength=net.n_transitions)
     # a place that holds the same count in every state has that mean exactly,
     # not pi's sum times it; otherwise one column at a time: ``pi @ markings``
     # as one product may round differently in the last bit
-    column = ctmc.markings[:, p]
-    if (column == column[0]).all():
-        return float(column[0])
-    return float(dist.probabilities @ column)
-
-
-def chain_metrics(ctmc: Ctmc, dist: StationaryDistribution) -> MetricsReport:
-    """Every transition's throughput and every place's mean token count."""
-    _check_dist(ctmc, dist)
-    net = ctmc.net
+    tokens = {
+        p.name: float(column[0]) if (column == column[0]).all() else float(pi @ column)
+        for p, column in zip(net.places, ctmc.markings.T)
+    }
     return MetricsReport(
-        transition_throughputs=dict(
-            zip((t.name for t in net.transitions), _flows(ctmc, dist).tolist())
-        ),
-        mean_tokens={p.name: _tokens(ctmc, dist, i) for i, p in enumerate(net.places)},
+        transition_throughputs=dict(zip((t.name for t in net.transitions), flows.tolist())),
+        mean_tokens=tokens,
         response_times={},
     )
 
 
 def transition_throughput(ctmc: Ctmc, dist: StationaryDistribution, name: str) -> float:
     """Expected firings of ``name`` per time unit at steady state."""
-    _check_dist(ctmc, dist)
-    return float(_flows(ctmc, dist)[ctmc.net.transition_index(name)])
+    return chain_metrics(ctmc, dist).transition_throughputs[name]
 
 
 def mean_token_count(ctmc: Ctmc, dist: StationaryDistribution, name: str) -> float:
     """Expected token count of place ``name`` at steady state."""
-    _check_dist(ctmc, dist)
-    return _tokens(ctmc, dist, ctmc.net.place_index(name))
+    return chain_metrics(ctmc, dist).mean_tokens[name]
 
 
 def response_time_little(population: float, throughput: float):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from spnperf.monitor import LOWER_QOS_LEVEL, MonitorPolicy, apply_action
 from spnperf.net import INFINITE_SERVER, SINGLE_SERVER
 from spnperf.pubsub import (
     PLACE_NAMES,
@@ -11,7 +12,6 @@ from spnperf.pubsub import (
     build_pubsub_net,
     headline_metrics,
     p_invariants,
-    qos_rate,
     set_factor,
 )
 from spnperf.reachability import check_place_invariant, explore
@@ -128,7 +128,7 @@ def test_dead_configuration_yields_undefined_response_times():
     # connect, so publish throughput is zero while the rest of the net cycles
     net = build_pubsub_net(PubSubParams())
     inh = np.array(net.inh)
-    inh[net.place_index("Topics"), net.transition_index("connectPub")] = 1
+    inh[PLACE_NAMES.index("Topics"), TRANSITION_NAMES.index("connectPub")] = 1
     dead = dataclasses.replace(net, inh=inh)
     ctmc = explore(dead)
     dist = steady_state(ctmc)
@@ -160,13 +160,14 @@ def test_set_factor_mirrors_memory_experiment():
     assert params.broker_memory == 10
 
 
-def test_qos_level_rate_mapping():
-    assert qos_rate(1.0, 0) == 4.0
-    assert qos_rate(1.0, 1) == 1.0
-    assert qos_rate(1.0, 2) == 0.5
-    assert qos_rate(2.0, 0) == 8.0
-    with pytest.raises(ValueError):
-        qos_rate(1.0, 3)
+def test_lowering_the_qos_level_doubles_then_quadruples_r_pub_qos():
+    # the QoS rate factors of levels 2, 1 and 0 are 0.5, 1 and 4, powers of
+    # two, so each step scales r_pub_qos exactly
+    policy = MonitorPolicy(1.0, 1.0)
+    once, level = apply_action(PubSubParams(r_pub_qos=1.3), policy, LOWER_QOS_LEVEL, 2)
+    assert (once.r_pub_qos, level) == (2 * 1.3, 1)
+    twice, level = apply_action(once, policy, LOWER_QOS_LEVEL, level)
+    assert (twice.r_pub_qos, level) == (4 * (2 * 1.3), 0)
 
 
 def test_boundedness_via_invariants():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spnperf.reachability import Ctmc, explore
-from spnperf.pubsub import PubSubParams, build_pubsub_net, headline_metrics
+from spnperf.pubsub import PLACE_NAMES, PubSubParams, build_pubsub_net, headline_metrics
 from spnperf.solver import (
     ChainStructureError,
     chain_metrics,
@@ -121,8 +121,14 @@ def test_an_empty_chain_an_unknown_method_and_a_foreign_distribution_are_refused
         steady_state(empty)
     # the M/M/1/2 chain's 3 probabilities are no distribution of M/M/1/3's 4 states
     other = steady_state(explore(mm1k_net(1.0, 2.0, 2)))
-    with pytest.raises(ValueError, match="^distribution does not match the chain$"):
-        mean_token_count(ctmc, other, "Queue")
+    for metric in (
+        lambda: chain_metrics(ctmc, other),
+        lambda: transition_throughput(ctmc, other, "serve"),
+        lambda: mean_token_count(ctmc, other, "Queue"),
+        lambda: headline_metrics(ctmc, other),
+    ):
+        with pytest.raises(ValueError, match="^distribution does not match the chain$"):
+            metric()
 
 
 def test_deadlock_is_a_structure_error():
@@ -245,6 +251,6 @@ def test_a_constant_place_has_its_count_as_mean_exactly():
     # within an ulp, so the mean is the column's value, not pi @ column
     ctmc = explore(build_pubsub_net(PubSubParams()))
     dist = steady_state(ctmc)
-    assert (ctmc.markings[:, ctmc.net.place_index("Topics")] == 1).all()
+    assert (ctmc.markings[:, PLACE_NAMES.index("Topics")] == 1).all()
     assert mean_token_count(ctmc, dist, "Topics") == 1.0
     assert chain_metrics(ctmc, dist).mean_tokens["Topics"] == 1.0
