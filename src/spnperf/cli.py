@@ -97,16 +97,8 @@ def cmd_sweep(args) -> int:
     held = []
     for value, params in points:
         dist, report = solve_model(params, args.max_states, held)[1:]
-        accept = report.response_times["accept_publication_response_time"]
-        notify = report.response_times["notification_response_time"]
-        row = (
-            repr(value),
-            "nan" if accept is None else repr(accept),
-            "nan" if notify is None else repr(notify),
-            str(dist.probabilities.size),
-            repr(dist.residual),
-        )
-        print(",".join(row))
+        times = ["nan" if t is None else repr(t) for t in report.response_times.values()]
+        print(",".join([repr(value), *times, str(dist.probabilities.size), repr(dist.residual)]))
     return 0
 
 

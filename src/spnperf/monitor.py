@@ -64,6 +64,12 @@ class WorkloadSnapshot:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
+def _check_qos_level(name: str, level) -> None:
+    # a whole number, and no bool: True would be lowered to level 0
+    if not (is_count(level) and level in QOS_LEVEL_RATE_FACTOR):
+        raise ValueError(f"{name} must be one of {sorted(QOS_LEVEL_RATE_FACTOR)}, got {level!r}")
+
+
 @dataclass(frozen=True)
 class MonitorPolicy:
     """Thresholds, action ordering and resource caps for the optimizer."""
@@ -104,11 +110,7 @@ class MonitorPolicy:
             raise ValueError(
                 f"qos_reduction_allowed must be a boolean, got {self.qos_reduction_allowed!r}"
             )
-        level = self.initial_qos_level
-        if not (is_count(level) and level in QOS_LEVEL_RATE_FACTOR):
-            raise ValueError(
-                f"initial_qos_level must be one of {sorted(QOS_LEVEL_RATE_FACTOR)}, got {level!r}"
-            )
+        _check_qos_level("initial_qos_level", self.initial_qos_level)
         if not isinstance(self.caps, dict):
             raise ValueError(f"caps must be an object of integers, got {self.caps!r}")
         unknown = set(self.caps) - set(_DEFAULT_CAPS)
@@ -201,6 +203,7 @@ def next_action(
     """
     if qos_level is None:
         qos_level = policy.initial_qos_level
+    _check_qos_level("qos_level", qos_level)
     for action in policy.action_order:
         if action == LOWER_QOS_LEVEL:
             if policy.qos_reduction_allowed and qos_level > 0:
@@ -216,6 +219,7 @@ def apply_action(
     """Apply one action: integer factors below their cap multiply by ``step``
     (clamped to the cap), and a factor at or above it stays; lowering the QoS
     level raises the QoS processing rate one step."""
+    _check_qos_level("qos_level", qos_level)
     if action == LOWER_QOS_LEVEL:
         if qos_level <= 0:
             raise ValueError("QoS level is already at its minimum")

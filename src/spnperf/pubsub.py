@@ -193,33 +193,28 @@ def p_invariants(params: PubSubParams) -> list:
     ]
 
 
+# response time -> places a publication occupies from issuance until that
+# time ends: QoS processing done for acceptance, subscriber consumption for
+# notification, so the notification time always dominates
+_RESPONSE_TIMES = (
+    ("accept_publication_response_time", ("PubRequest", "PubAccepted")),
+    ("notification_response_time", ("PubRequest", "PubAccepted", "PublishedEvent", "SubQoSProcessing")),
+)
+
+
 def headline_metrics(ctmc: Ctmc, dist: StationaryDistribution) -> MetricsReport:
-    """``chain_metrics`` plus the two Little's-law response times.
-
-    accept_publication_response_time covers a publication from issuance
-    until QoS processing completes; notification_response_time covers a
-    publication from issuance until subscriber consumption, so it always
-    dominates the acceptance time.  A zero throughput leaves the
-    corresponding time undefined (``None``).
-    """
+    """``chain_metrics`` plus the two Little's-law response times, each the
+    mean token count of its places over the publish throughput."""
     report = chain_metrics(ctmc, dist)
-    tokens = report.mean_tokens
     publish = report.transition_throughputs["publish"]
-    accepting = tokens["PubRequest"] + tokens["PubAccepted"]
-    notifying = accepting + tokens["PublishedEvent"] + tokens["SubQoSProcessing"]
-
-    # zero throughput marks the metric undefined even for an empty pipeline:
-    # it signals a dead configuration, not an instantaneous one
-    def little(population):
-        return response_time_little(population, publish) if publish > 0 else None
-
-    return dataclasses.replace(
-        report,
-        response_times={
-            "accept_publication_response_time": little(accepting),
-            "notification_response_time": little(notifying),
-        },
-    )
+    times = {}
+    for name, places in _RESPONSE_TIMES:
+        # left to right, not sum(), which Python 3.12 made compensated
+        population = 0.0
+        for place in places:
+            population += report.mean_tokens[place]
+        times[name] = response_time_little(population, publish)
+    return dataclasses.replace(report, response_times=times)
 
 
 def set_factor(params: PubSubParams, factor: str, value) -> PubSubParams:

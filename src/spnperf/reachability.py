@@ -170,8 +170,7 @@ def explore(net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctmc:
     top = _widened([0] * net.n_places, rise, net.initial_marking())
     w, dcode, room = _coding(top, rise, delta)
     states = np.array([net.initial_marking()], dtype=np.int64)
-    codes = states @ w
-    index = _numbering(codes)
+    index = _numbering(states @ w)
     src, dst, trans, degrees = [], [], [], []
     done = 0  # states below this id are expanded
     n = 1  # states below this id are known
@@ -182,21 +181,19 @@ def explore(net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctmc:
         degree = enabling_degree(net, block)
         rows, ts = np.nonzero(degree)  # row-major: parent, then transition
         # a firing moves the code by its transition's step
-        succ = codes[done + rows] + dcode[ts]
+        succ = (block @ w)[rows] + dcode[ts]
         ids = np.fromiter(map(index.__getitem__, succ.tolist()), dtype=np.int64, count=len(ts))
         n_new = len(index)
         if n_new > limit:
             raise StateExplosionError(max_states)
         if n_new > n:
             if n_new > len(states):
-                size = max(2 * len(states), n_new)
-                states, codes = _grown(states, size), _grown(codes, size)
+                states = _grown(states, max(2 * len(states), n_new))
             # ids are handed out in order, so each new id's first edge is
             # where the running maximum of the ids reaches it
             first = np.maximum.accumulate(ids).searchsorted(np.arange(n, n_new))
             new = block[rows[first]] + delta[ts[first]]
             states[n:n_new] = new
-            codes[n:n_new] = succ[first]
             n = n_new
             high = new.max(axis=0)
             if (high > room).any():
@@ -204,8 +201,7 @@ def explore(net: SpnNet, max_states: int = DEFAULT_MAX_STATES) -> Ctmc:
                 # digits that need it and code every known state anew
                 top = _widened(top, rise, high.tolist())
                 w, dcode, room = _coding(top, rise, delta)
-                codes = _grown(states[:n] @ w, len(states))
-                index = _numbering(codes[:n])
+                index = _numbering(states[:n] @ w)
         src.append(done + rows)
         dst.append(ids)
         trans.append(ts)

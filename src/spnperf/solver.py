@@ -613,11 +613,9 @@ def mean_token_count(ctmc: Ctmc, dist: StationaryDistribution, name: str) -> flo
 def response_time_little(population: float, throughput: float):
     """Little's law quotient: mean number in system over throughput.
 
-    Returns ``None`` (undefined) for positive population with zero
-    throughput and 0.0 for the empty system.
+    Returns ``None`` (undefined) for zero throughput, whatever the
+    population: it marks a dead configuration, not an instantaneous one.
     """
     if population < 0 or throughput < 0:
         raise ValueError("population and throughput must be non-negative")
-    if throughput == 0.0:
-        return 0.0 if population == 0.0 else None
-    return population / throughput
+    return None if throughput == 0.0 else population / throughput

@@ -138,6 +138,18 @@ def test_apply_action_refuses_a_qos_level_below_0_and_an_unknown_action():
         apply_action(PubSubParams(), policy, LOWER_QOS_LEVEL, 0)
     with pytest.raises(ValueError, match="^unknown action 'shrink'$"):
         apply_action(PubSubParams(), policy, "shrink", 1)
+    # a level outside 0-2, a fraction or a bool is no QoS level, whatever the action
+    for level in (3, 1.5, True):
+        for action in (LOWER_QOS_LEVEL, GROW_BROKER_MEMORY):
+            with pytest.raises(ValueError, match=r"^qos_level must be one of \[0, 1, 2\], got "):
+                apply_action(PubSubParams(), policy, action, level)
+
+
+@pytest.mark.parametrize("level", [3, 7, 1.5, True, -1])
+def test_next_action_refuses_an_unknown_qos_level(level):
+    policy = MonitorPolicy(1.0, 1.0, qos_reduction_allowed=True)
+    with pytest.raises(ValueError, match=r"^qos_level must be one of \[0, 1, 2\], got "):
+        next_action(PubSubParams(), policy, level)
 
 
 def test_apply_action_clamps_to_cap():

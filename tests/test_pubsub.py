@@ -6,6 +6,7 @@ import pytest
 from spnperf.monitor import LOWER_QOS_LEVEL, MonitorPolicy, apply_action
 from spnperf.net import INFINITE_SERVER, SINGLE_SERVER
 from spnperf.pubsub import (
+    _RATES,
     PLACE_NAMES,
     TRANSITION_NAMES,
     PubSubParams,
@@ -15,7 +16,7 @@ from spnperf.pubsub import (
     set_factor,
 )
 from spnperf.reachability import check_place_invariant, explore
-from spnperf.solver import steady_state
+from spnperf.solver import response_time_little, steady_state
 
 
 def analyze(params):
@@ -96,6 +97,29 @@ def test_default_calibration_headline_metrics():
     assert accept == pytest.approx(2.9238835200100577, rel=1e-9)
     assert notify == pytest.approx(3.8812736333418005, rel=1e-9)
     assert 0 < accept < notify
+
+
+def _random_rate_params():
+    # the seed-1 random-rate params of
+    # test_auto_falls_back_to_gth_on_a_random_rate_pubsub_chain
+    rng = np.random.default_rng(1)
+    return PubSubParams(**{name: 10.0 ** rng.uniform(-1, 1) for name in _RATES})
+
+
+@pytest.mark.parametrize("params", [PubSubParams(), _random_rate_params()], ids=["default", "random-seed-1"])
+def test_headline_times_are_little_quotients_of_their_places(params):
+    # each time's population is its places' mean token counts added left to
+    # right, so the times match to the bit
+    _, _, report = analyze(params)
+    tokens = report.mean_tokens
+    publish = report.transition_throughputs["publish"]
+    accepting = tokens["PubRequest"] + tokens["PubAccepted"]
+    notifying = accepting + tokens["PublishedEvent"] + tokens["SubQoSProcessing"]
+    assert report.response_times == {
+        "accept_publication_response_time": response_time_little(accepting, publish),
+        "notification_response_time": response_time_little(notifying, publish),
+    }
+    assert list(report.response_times) == ["accept_publication_response_time", "notification_response_time"]
 
 
 def test_cycle_flow_balance():

@@ -105,7 +105,7 @@ def test_mean_tokens_constant_place():
 def test_little_quotient():
     assert response_time_little(2.0, 4.0) == 0.5
     assert response_time_little(4 / 7, 6 / 7) == pytest.approx(2 / 3, rel=1e-12)
-    assert response_time_little(0.0, 0.0) == 0.0
+    assert response_time_little(0.0, 0.0) is None
     assert response_time_little(1.0, 0.0) is None
     with pytest.raises(ValueError):
         response_time_little(-1.0, 1.0)
