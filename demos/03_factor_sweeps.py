@@ -34,7 +34,7 @@ def sweep(title, apply, values):
 
 sweep(
     "network buffers (receive and send grown together)",
-    lambda p, v: set_factor(set_factor(p, "net_recv_buffer", v), "net_send_buffer", v),
+    lambda p, v: set_factor(p, "network_buffer", v),
     (1, 2, 4, 6, 8, 10),
 )
 sweep(

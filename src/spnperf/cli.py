@@ -15,7 +15,7 @@ import sys
 from . import files
 from .monitor import run_loop, solve_model
 from .net import AnalysisError, InvalidNetError
-from .pubsub import FACTOR_NAMES, NETWORK_BUFFERS, PubSubParams, build_pubsub_net, set_factor
+from .pubsub import PubSubParams, build_pubsub_net, factor_type, set_factor
 from .reachability import DEFAULT_MAX_STATES
 from .simulator import default_metrics, estimate_metrics
 
@@ -26,8 +26,6 @@ from .reachability import explore  # noqa: F401
 from .solver import mean_token_count, steady_state, transition_throughput  # noqa: F401
 
 SWEEP_HEADER = "factor,accept_publication_rt,notification_rt,states,residual"
-#: pseudo-factor adjusting the receive and send buffers together
-NETWORK_BUFFER = "network_buffer"
 
 
 def _checked(convert, valid, expected):
@@ -69,29 +67,24 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _parse_values(factor: str, text: str):
-    items = [v for v in text.split(",") if v.strip()]
-    if factor == "r_pub_qos":
-        return sorted(float(v) for v in items)
-    return sorted(int(v) for v in items)
+def _parse_values(factor: str, text: str) -> list:
+    convert = factor_type(factor)  # an unknown factor is named before any value
+    values = []
+    for item in text.split(","):
+        if item.strip():
+            try:
+                values.append(convert(item))
+            except ValueError:
+                raise ValueError(f"{factor} takes {convert.__name__} values, got {item!r}") from None
+    return sorted(values)
 
 
 def cmd_sweep(args) -> int:
     model = _load_params(args.model, "sweep")
-    factor = args.factor
-    if factor != NETWORK_BUFFER and factor not in FACTOR_NAMES:
-        raise ValueError(
-            f"unknown factor {factor!r}; expected {NETWORK_BUFFER!r} or one of {FACTOR_NAMES}"
-        )
-    factors = NETWORK_BUFFERS if factor == NETWORK_BUFFER else (factor,)
     # every point is built before any row is printed, so a bad value exits
     # 2 with nothing on stdout
-    points = []
-    for value in _parse_values(factor, args.values):
-        params = model
-        for name in factors:
-            params = set_factor(params, name, value)
-        points.append((value, params))
+    values = _parse_values(args.factor, args.values)
+    points = [(value, set_factor(model, args.factor, value)) for value in values]
 
     print(SWEEP_HEADER)
     held = []

@@ -17,6 +17,7 @@ from .net import AnalysisError, is_count, is_real
 from .pubsub import (
     NETWORK_BUFFERS,
     QOS_LEVEL_RATE_FACTOR,
+    RESPONSE_TIMES,
     PubSubParams,
     build_pubsub_net,
     headline_metrics,
@@ -102,10 +103,10 @@ class MonitorPolicy:
             value = getattr(self, name)
             if not (is_count(value) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        for name in ("max_accept_publication_response_time", "max_notification_response_time"):
-            value = getattr(self, name)
+        for name, _places in RESPONSE_TIMES:
+            value = getattr(self, f"max_{name}")
             if not (is_real(value) and value >= 0):  # also refuses NaN
-                raise ValueError(f"{name} must be a number >= 0, got {value!r}")
+                raise ValueError(f"max_{name} must be a number >= 0, got {value!r}")
         if not isinstance(self.qos_reduction_allowed, bool):
             raise ValueError(
                 f"qos_reduction_allowed must be a boolean, got {self.qos_reduction_allowed!r}"
@@ -174,17 +175,15 @@ def evaluate(
 
 
 def detect_degradation(report: MetricsReport, policy: MonitorPolicy) -> list[str]:
-    """Names of headline metrics strictly exceeding their thresholds.
+    """Headline response times strictly exceeding their thresholds, in
+    ``RESPONSE_TIMES`` order; each time's threshold is the policy's
+    ``max_<name>``.
 
     Undefined (``None``) metrics always count as violations.
     """
-    thresholds = {
-        "accept_publication_response_time": policy.max_accept_publication_response_time,
-        "notification_response_time": policy.max_notification_response_time,
-    }
     violations = []
-    for name, limit in thresholds.items():
-        value = report.response_times[name]
+    for name, _places in RESPONSE_TIMES:
+        value, limit = report.response_times[name], getattr(policy, f"max_{name}")
         if value is None:
             violations.append(f"{name}: undefined")
         elif value > limit:
@@ -243,13 +242,13 @@ def run_loop(
 ) -> list[DecisionRecord]:
     """Run the monitoring loop over a workload trace.
 
-    Returns one DecisionRecord per snapshot.  Factor adjustments persist
-    across snapshots; an evaluation failure records the snapshot as
-    ``evaluation_failed`` and leaves the carried-forward params unchanged.
-    A snapshot still violating its thresholds is ``exhausted_actions``,
-    stopped because no action applied any more (``no_action_left``) or
-    because the action budget was spent while one still did
-    (``action_budget_spent``).
+    Returns one DecisionRecord per snapshot.  Each snapshot takes one pass:
+    while a threshold is violated, apply the next applicable action and
+    re-evaluate.  The stop reason is set where the pass stops: ``compliant``,
+    ``no_action_left``, ``action_budget_spent`` (``max_actions_per_snapshot``
+    ran out while an action still applied) or ``evaluation_failed`` (an
+    ``AnalysisError``; the carried-forward params stay unchanged).  Factor
+    adjustments persist across snapshots.
     """
     records, held = [], []
     qos_level = policy.initial_qos_level
@@ -265,28 +264,22 @@ def run_loop(
         cand_level = qos_level
         try:
             before = report = evaluate(candidate, max_states, held)
-            while (
-                detect_degradation(report, policy)
-                and len(actions) < policy.max_actions_per_snapshot
-            ):
+            while detect_degradation(report, policy):
                 action = next_action(candidate, policy, cand_level)
                 if action is None:
+                    reason = NO_ACTION_LEFT
+                    break
+                if len(actions) >= policy.max_actions_per_snapshot:
+                    reason = ACTION_BUDGET_SPENT
                     break
                 candidate, cand_level = apply_action(candidate, policy, action, cand_level)
                 actions.append(action)
                 report = evaluate(candidate, max_states, held)
+            else:  # no threshold is violated
+                reason = COMPLIANT
         except AnalysisError:
-            records.append(
-                DecisionRecord(snap.timestamp, before, None, tuple(actions), EVALUATION_FAILED)
-            )
-            continue
-
-        if not detect_degradation(report, policy):
-            reason = COMPLIANT
-        elif next_action(candidate, policy, cand_level) is None:
-            reason = NO_ACTION_LEFT
-        else:
-            reason = ACTION_BUDGET_SPENT
+            reason, report = EVALUATION_FAILED, None
         records.append(DecisionRecord(snap.timestamp, before, report, tuple(actions), reason))
-        params, qos_level = candidate, cand_level
+        if reason != EVALUATION_FAILED:
+            params, qos_level = candidate, cand_level
     return records

@@ -27,18 +27,16 @@ from .solver import (
 # these names in this module, so they must stay importable from it.
 from .solver import mean_token_count, transition_throughput  # noqa: F401
 
-#: Factors the self-optimizer may adjust.
-FACTOR_NAMES = (
-    "net_recv_buffer",
-    "net_send_buffer",
-    "broker_memory",
-    "broker_capacity",
-    "received_event_capacity",
-    "r_pub_qos",
-)
-
 #: The network buffers, adjusted together by sweeps and the monitor.
 NETWORK_BUFFERS = ("net_recv_buffer", "net_send_buffer")
+
+#: The sweepable factors, which ``set_factor`` sets: ``PubSubParams`` fields,
+#: and ``network_buffer``, which sets both network buffers to one value.  The
+#: monitor's actions adjust only the buffers, the broker memory and ``r_pub_qos``.
+FACTOR_NAMES = (
+    "network_buffer", *NETWORK_BUFFERS, "broker_memory", "broker_capacity",
+    "received_event_capacity", "r_pub_qos",
+)
 
 #: QoS level -> multiplier applied to the base QoS processing rate.
 #: Lower levels mean less delivery bookkeeping, hence faster processing.
@@ -193,10 +191,11 @@ def p_invariants(params: PubSubParams) -> list:
     ]
 
 
-# response time -> places a publication occupies from issuance until that
-# time ends: QoS processing done for acceptance, subscriber consumption for
-# notification, so the notification time always dominates
-_RESPONSE_TIMES = (
+#: Headline response time -> places a publication occupies from issuance
+#: until that time ends: QoS processing done for acceptance, subscriber
+#: consumption for notification, so the notification time always dominates.
+#: ``MonitorPolicy`` holds each time's threshold as ``max_<name>``.
+RESPONSE_TIMES = (
     ("accept_publication_response_time", ("PubRequest", "PubAccepted")),
     ("notification_response_time", ("PubRequest", "PubAccepted", "PublishedEvent", "SubQoSProcessing")),
 )
@@ -208,7 +207,7 @@ def headline_metrics(ctmc: Ctmc, dist: StationaryDistribution) -> MetricsReport:
     report = chain_metrics(ctmc, dist)
     publish = report.transition_throughputs["publish"]
     times = {}
-    for name, places in _RESPONSE_TIMES:
+    for name, places in RESPONSE_TIMES:
         # left to right, not sum(), which Python 3.12 made compensated
         population = 0.0
         for place in places:
@@ -217,10 +216,20 @@ def headline_metrics(ctmc: Ctmc, dist: StationaryDistribution) -> MetricsReport:
     return dataclasses.replace(report, response_times=times)
 
 
-def set_factor(params: PubSubParams, factor: str, value) -> PubSubParams:
-    """Return new params with one influencing factor changed; ``PubSubParams``
-    checks the value's type and range."""
+def _factor_fields(factor: str) -> tuple:
     if factor not in FACTOR_NAMES:
         raise ValueError(f"unknown factor {factor!r}; expected one of {FACTOR_NAMES}")
-    return dataclasses.replace(params, **{factor: value})
+    return NETWORK_BUFFERS if factor == "network_buffer" else (factor,)
+
+
+def factor_type(factor: str) -> type:
+    """``int`` or ``float``: the declared type of the fields a factor sets.
+    An unknown factor raises ``ValueError``, as in ``set_factor``."""
+    return float if _factor_fields(factor)[0] in _RATES else int
+
+
+def set_factor(params: PubSubParams, factor: str, value) -> PubSubParams:
+    """Return new params with one factor of ``FACTOR_NAMES`` changed;
+    ``PubSubParams`` checks the value's type and range."""
+    return dataclasses.replace(params, **dict.fromkeys(_factor_fields(factor), value))
 

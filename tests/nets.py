@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from spnperf import pubsub
 from spnperf.net import Place, SpnNet, Transition, SINGLE_SERVER
 
 
@@ -126,3 +127,10 @@ def deadlock_net():
         [("t", 1.0)],
         [("a", "t", "pre", 1), ("b", "t", "post", 1)],
     )
+
+
+def random_rate_params(seed):
+    """Default pub/sub populations and resources with every rate drawn from
+    10^U(-1, 1), in field order, from ``np.random.default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    return pubsub.PubSubParams(**{name: 10.0 ** rng.uniform(-1, 1) for name in pubsub._RATES})

@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spnperf import files, pubsub, solver
+from spnperf import files, solver
 from spnperf.cli import SWEEP_HEADER, main
 from spnperf.monitor import solve_model
 from spnperf.pubsub import PubSubParams, build_pubsub_net
 from spnperf.reachability import DEFAULT_MAX_STATES, explore
-from nets import mm1k_net, producer_consumer_net, simple_net, stiff_cycle_net
+from nets import mm1k_net, producer_consumer_net, random_rate_params, simple_net, stiff_cycle_net
 from test_solver_oracle import GS_RTOL, assert_componentwise
 
 
@@ -163,19 +163,13 @@ def test_analyze_adds_the_balance_residual_and_keeps_every_old_key(params_file, 
     assert doc["residual"] == solver._residuals(dist.probabilities, solver.generator(ctmc))[0]
 
 
-def _random_rate_params(seed):
-    # every rate drawn from 10^U(-1, 1), in field order
-    rng = np.random.default_rng(seed)
-    return PubSubParams(**{name: 10.0 ** rng.uniform(-1, 1) for name in pubsub._RATES})
-
-
 @pytest.mark.parametrize(
     "params, method, iterations",
     [
         (PubSubParams(), "iterative", 53),
         # the chain of test_auto_falls_back_to_gth_on_a_random_rate_pubsub_chain:
         # Gauss-Seidel spends its whole budget, then auto hands it to GTH
-        (_random_rate_params(1), "direct", 287),
+        (random_rate_params(1), "direct", 287),
     ],
     ids=["default", "random-1"],
 )
@@ -319,6 +313,30 @@ def test_sweep_bad_value_exits_2_before_printing(params_file, capsys, values):
     assert code == 2
     assert out == ""
     assert "r_pub_qos must be a positive rate" in err
+
+
+@pytest.mark.parametrize(
+    "factor, value", [("broker_memory", "1.5"), ("network_buffer", "1e400"), ("r_pub_qos", "abc")]
+)
+def test_a_sweep_value_that_does_not_parse_names_the_factor_and_the_value(
+    params_file, capsys, factor, value
+):
+    code, out, err = run_cli(
+        capsys, "sweep", params_file, "--factor", factor, "--values", f"1,{value}"
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{factor} takes " in err and repr(value) in err
+
+
+@pytest.mark.parametrize("values", ["abc", ""])
+def test_sweep_names_an_unknown_factor_before_any_value(params_file, capsys, values):
+    code, out, err = run_cli(
+        capsys, "sweep", params_file, "--factor", "nope", "--values", values
+    )
+    assert code == 2
+    assert out == ""
+    assert "unknown factor 'nope'" in err
 
 
 def test_sweep_unknown_factor_exits_2(params_file, capsys):

@@ -21,7 +21,7 @@ from spnperf.monitor import (
     next_action,
     run_loop,
 )
-from spnperf.pubsub import PubSubParams
+from spnperf.pubsub import RESPONSE_TIMES, PubSubParams
 from spnperf.reachability import explore
 from spnperf.solver import MetricsReport
 
@@ -248,6 +248,20 @@ def test_stop_reason_evaluation_failed():
     assert (record.outcome, record.stop_reason) == (EVALUATION_FAILED, EVALUATION_FAILED)
 
 
+def test_an_evaluation_failing_after_an_action_keeps_the_params_before_it():
+    # growing the buffers takes the chain from 1,260 to 1,500 states, past
+    # the limit: the record keeps the first evaluation and the action, and
+    # the next snapshot starts from the un-grown params
+    policy = MonitorPolicy(0.0, 0.0)
+    trace = [WorkloadSnapshot(1.0, 2, 2, 3), WorkloadSnapshot(2.0, 2, 2, 3)]
+    records = run_loop(trace, PubSubParams(), policy, max_states=1400)
+    assert records[0].before is not None
+    assert records[0].actions == (GROW_NETWORK_BUFFERS,)
+    assert records[0].after is None
+    assert records[0].stop_reason == EVALUATION_FAILED
+    assert records[1].before == records[0].before
+
+
 def test_run_loop_adjustments_persist_across_snapshots():
     trace = [WorkloadSnapshot(1.0, 2, 2, 3), WorkloadSnapshot(2.0, 2, 2, 3)]
     records = run_loop(trace, PubSubParams(), DEGRADED_POLICY)
@@ -392,3 +406,10 @@ def test_a_zero_action_budget_only_observes():
     (record,) = run_loop([WorkloadSnapshot(1.0, 2, 2, 3)], PubSubParams(), policy)
     assert record.actions == ()
     assert record.outcome == EXHAUSTED_ACTIONS
+    assert record.stop_reason == ACTION_BUDGET_SPENT
+
+
+def test_every_headline_time_has_a_policy_threshold():
+    # detect_degradation reads each time's threshold as max_<name>
+    fields = {f.name for f in dataclasses.fields(MonitorPolicy)}
+    assert all(f"max_{name}" in fields for name, _places in RESPONSE_TIMES)

@@ -6,17 +6,19 @@ import pytest
 from spnperf.monitor import LOWER_QOS_LEVEL, MonitorPolicy, apply_action
 from spnperf.net import INFINITE_SERVER, SINGLE_SERVER
 from spnperf.pubsub import (
-    _RATES,
+    FACTOR_NAMES,
     PLACE_NAMES,
     TRANSITION_NAMES,
     PubSubParams,
     build_pubsub_net,
+    factor_type,
     headline_metrics,
     p_invariants,
     set_factor,
 )
 from spnperf.reachability import check_place_invariant, explore
 from spnperf.solver import response_time_little, steady_state
+from nets import random_rate_params
 
 
 def analyze(params):
@@ -99,14 +101,8 @@ def test_default_calibration_headline_metrics():
     assert 0 < accept < notify
 
 
-def _random_rate_params():
-    # the seed-1 random-rate params of
-    # test_auto_falls_back_to_gth_on_a_random_rate_pubsub_chain
-    rng = np.random.default_rng(1)
-    return PubSubParams(**{name: 10.0 ** rng.uniform(-1, 1) for name in _RATES})
-
-
-@pytest.mark.parametrize("params", [PubSubParams(), _random_rate_params()], ids=["default", "random-seed-1"])
+# random-seed-1: the params of test_auto_falls_back_to_gth_on_a_random_rate_pubsub_chain
+@pytest.mark.parametrize("params", [PubSubParams(), random_rate_params(1)], ids=["default", "random-seed-1"])
 def test_headline_times_are_little_quotients_of_their_places(params):
     # each time's population is its places' mean token counts added left to
     # right, so the times match to the bit
@@ -177,6 +173,19 @@ def test_set_factor_validates():
         set_factor(params, "broker_memory", 0)
     with pytest.raises(ValueError):
         set_factor(params, "n_publishers", 3)  # populations are not factors
+
+
+def test_network_buffer_sets_both_buffers():
+    params = set_factor(PubSubParams(), "network_buffer", 3)
+    assert (params.net_recv_buffer, params.net_send_buffer) == (3, 3)
+    assert dataclasses.replace(params, net_recv_buffer=1, net_send_buffer=1) == PubSubParams()
+
+
+def test_a_factor_takes_the_declared_type_of_its_fields():
+    types = {name: factor_type(name) for name in FACTOR_NAMES}
+    assert types == {**dict.fromkeys(FACTOR_NAMES, int), "r_pub_qos": float}
+    with pytest.raises(ValueError, match="unknown factor 'n_publishers'"):
+        factor_type("n_publishers")
 
 
 def test_set_factor_mirrors_memory_experiment():

@@ -32,11 +32,11 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spnperf import pubsub, solver
+from spnperf import solver
 from spnperf.pubsub import PubSubParams, build_pubsub_net
 from spnperf.reachability import explore
 from spnperf.solver import ConvergenceError, steady_state
-from nets import mm1k_log_pi, mm1k_net, mm1k_pi, simple_net
+from nets import mm1k_log_pi, mm1k_net, mm1k_pi, random_rate_params, simple_net
 from test_explore_oracle import PUBSUB_CONFIGS
 
 BLOCK = 32  # the outer block of solver._solve_direct
@@ -136,9 +136,7 @@ def test_auto_falls_back_to_gth_on_a_random_rate_pubsub_chain():
     # every rate drawn from 10^U(-1, 1) on the default structure: Gauss-Seidel
     # mixes too slowly to stop within its budget (287 sweeps), so auto's
     # answer is the direct solve's, bit for bit
-    rng = np.random.default_rng(1)
-    params = PubSubParams(**{name: 10.0 ** rng.uniform(-1, 1) for name in pubsub._RATES})
-    ctmc = explore(build_pubsub_net(params))
+    ctmc = explore(build_pubsub_net(random_rate_params(1)))
     assert ctmc.n_states == 1260
     dist = steady_state(ctmc)
     assert dist.method == "direct"
