@@ -73,9 +73,15 @@ def _parse_values(factor: str, text: str) -> list:
     for item in text.split(","):
         if item.strip():
             try:
-                values.append(convert(item))
+                # int and float also read digit groups ("1_0") and non-ASCII digits
+                if "_" in item or not item.isascii():
+                    raise ValueError
+                value = convert(item)
             except ValueError:
                 raise ValueError(f"{factor} takes {convert.__name__} values, got {item!r}") from None
+            if value in values:
+                raise ValueError(f"{factor} value {item!r} is given twice")
+            values.append(value)
     return sorted(values)
 
 

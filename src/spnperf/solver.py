@@ -11,11 +11,26 @@ renormalization.  They stop once the balance residual, divided by one
 minus the rate at which it falls, is at most DEFAULT_TOL: that quotient
 estimates the relative error left in pi.  Gauss-Seidel runs each sweep's
 forward substitution level by level, on rates over out-rates, and reads
-the residual off the upper inflow the next sweep needs.  The sweeps get a
-budget of about what GTH elimination would cost, in numpy calls and
-flops, from the chain's structure alone; a chain they have not solved by
-then, such as a long birth-death chain, goes to GTH, if its dense n x n
-array fits DIRECT_MAX_BYTES.
+the residual off the upper inflow the next sweep needs.
+
+The sweeps are Anderson-accelerated (``anderson``): before a sweep, the
+iterate may move to the last sweep's image less the combination of the
+last few differences of images that best cancels the residual G(x) - x,
+G being one sweep and the renormalization.  Two safeguards keep them on
+Gauss-Seidel's own path: a mixed point with a negative or non-finite
+entry is not taken, and a sweep from a mixed point that does not lower
+||G(x) - x||_1 goes back to the plain image the point replaced and clears
+the history.  Extrapolation ends once the balance residual is at most ten
+times DEFAULT_TOL, and the stop is tested only after three sweeps from
+plain images, with a rate no lower than the one Gauss-Seidel showed before
+the latest mixed point; if the residual then sits on its rounding floor, the
+sweeps start over once, unaccelerated.  What they return is always a
+plain image of a non-negative iterate.
+
+The sweeps get a budget of about what GTH elimination would cost, in numpy
+calls and flops, from the chain's structure alone; a chain they have not
+solved by then, such as a long birth-death chain, goes to GTH, if its
+dense n x n array fits DIRECT_MAX_BYTES.
 
 The direct solve runs GTH elimination inside the envelope of Q in reverse
 Cuthill-McKee order.  It eliminates 32 states at a time, each block over
@@ -35,8 +50,8 @@ What depends only on the chain's structure -- Q's pattern, the
 irreducibility verdict, the level plan in level order, and the RCM order
 with Q's layout and envelope windows -- is derived once, with numpy
 alone, and kept in ``Ctmc.structure_memo``, so a solve does rate work
-only.  The RCM order and the windows are derived only for a chain that
-reaches GTH.
+only.  The three searches over Q's graph live in ``graph``.  The RCM order
+and the windows are derived only for a chain that reaches GTH.
 """
 
 from __future__ import annotations
@@ -47,6 +62,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .anderson import Anderson
+from .graph import _cannot_return, _level_plan, _reverse_cuthill_mckee
 from .net import AnalysisError
 from .reachability import Ctmc
 
@@ -192,35 +209,6 @@ def generator(ctmc: Ctmc) -> Generator:
     return Generator(p, val, np.bincount(p.row, val, minlength=p.n))
 
 
-def _row_pointers(row: np.ndarray, n: int) -> np.ndarray:
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
-    return ptr
-
-
-def _gather(ptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Entry positions of the CSR rows ``nodes``, row after row."""
-    start = ptr[nodes]
-    length = ptr[nodes + 1] - start
-    return np.repeat(start - np.cumsum(length) + length, length) + np.arange(length.sum())
-
-
-def _cannot_return(p: _Pattern) -> np.ndarray:
-    # explore reaches every state from state 0, so the chain is irreducible
-    # exactly when every state reaches state 0: one level-synchronous search
-    # back along the edges, dst -> src
-    ptr, pred = _row_pointers(p.col, p.n), p.row[np.argsort(p.col)]
-    seen = np.zeros(p.n, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        reached = np.zeros(p.n, dtype=bool)
-        reached[pred[_gather(ptr, frontier)]] = True
-        frontier = np.flatnonzero(reached & ~seen)
-        seen[frontier] = True
-    return np.flatnonzero(~seen)
-
-
 def _check_structure(ctmc: Ctmc, q: Generator):
     if ctmc.deadlock_states:
         names = sorted(ctmc.deadlock_states)
@@ -258,41 +246,6 @@ def _residuals(pi: np.ndarray, q: Generator) -> tuple[float, float]:
     # bincount adds each column's entries in row order
     net = np.abs(np.bincount(p.col, pi[p.row] * q.val, minlength=p.n) - outflow)
     return float(net.max()), _balance(net, outflow, outflow)
-
-
-def _reverse_cuthill_mckee(p: _Pattern) -> np.ndarray:
-    # Cuthill and McKee (1969) on the pattern of Q + Q^T, one level at a
-    # time: each new state joins the next level after its earliest-ordered
-    # neighbour, then by degree, then by index, which is the order a
-    # state-by-state search gives.  Each component starts at a state of
-    # minimum degree, as scipy's reverse_cuthill_mckee does.
-    n, r, c = p.n, p.row, p.col
-    # sorted distinct keys: np.unique would build a hash table, which numpy 2
-    # makes many times slower than this on large arrays
-    keys = np.sort(np.concatenate([r * n + c, c * n + r]))
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    state, neighbour = np.divmod(keys, n)
-    degree = np.bincount(state, minlength=n)
-    ptr = _row_pointers(state, n)
-    order = np.empty(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    hi = 0
-    while hi < n:
-        rest = np.flatnonzero(~seen)
-        seed = rest[np.argmin(degree[rest])]
-        order[hi] = seed
-        seen[seed] = True
-        lo, hi = hi, hi + 1
-        while lo < hi:
-            nodes = neighbour[_gather(ptr, order[lo:hi])]
-            parent = np.repeat(np.arange(lo, hi), degree[order[lo:hi]])
-            new = ~seen[nodes]
-            nodes, first = np.unique(nodes[new], return_index=True)
-            nodes = nodes[np.lexsort((nodes, degree[nodes], parent[new][first]))]
-            order[hi : hi + nodes.size] = nodes
-            seen[nodes] = True
-            lo, hi = hi, hi + nodes.size
-    return order[::-1]
 
 
 def _band(p: _Pattern) -> tuple[np.ndarray, np.ndarray]:
@@ -388,47 +341,6 @@ def _solve_direct(q: Generator) -> np.ndarray:
     return pi
 
 
-def _level_plan(p: _Pattern) -> tuple:
-    """Gauss-Seidel's forward substitution in levels (Anderson and Saad 1989).
-
-    A state's new value needs the new values of the lower-numbered states
-    with an edge into it.  A level holds states whose needs all lie in
-    earlier levels, so each level is one vector step.  Returns ``order``,
-    the levels one after another; per level ``lo``, ``hi`` (it is
-    ``order[lo:hi]``), the entries that feed it, their sources' positions in
-    ``order`` and their targets' places in the level; and the entries from
-    higher-numbered states, which read the previous sweep, with their
-    sources' and targets' positions in ``order``.
-    """
-    lower = np.flatnonzero(p.row < p.col)
-    src, dst = p.row[lower], p.col[lower]
-    # Kahn's topological sort, one level at a time; lower is sorted by src
-    ptr = _row_pointers(src, p.n)
-    needs = np.bincount(dst, minlength=p.n)
-    levels = [np.flatnonzero(needs == 0)]
-    while True:
-        nodes = dst[_gather(ptr, levels[-1])]
-        needs -= np.bincount(nodes, minlength=p.n)
-        ready = np.zeros(p.n, dtype=bool)
-        ready[nodes[needs[nodes] == 0]] = True
-        if not ready.any():
-            break
-        levels.append(np.flatnonzero(ready))
-    order = np.concatenate(levels)
-    bounds = np.cumsum([0] + [level.size for level in levels])
-    at = np.argsort(order)
-    # each target's entries stay in source order, the order of a row sweep
-    target = at[dst]
-    by_target = np.argsort(target, kind="stable")
-    lower, source, target = lower[by_target], at[src[by_target]], target[by_target]
-    ebounds = np.searchsorted(target, bounds)
-    local = target - np.repeat(bounds[:-1], np.diff(ebounds))
-    spans = zip(bounds.tolist(), bounds[1:].tolist(), ebounds, ebounds[1:])
-    levels = [(lo, hi, lower[e:f], source[e:f], local[e:f]) for lo, hi, e, f in spans]
-    upper = np.flatnonzero(p.row > p.col)
-    return order, levels, (upper, at[p.row[upper]], at[p.col[upper]])
-
-
 def _solve_gauss_seidel(q: Generator, budget=None) -> tuple[np.ndarray, int, bool]:
     """Gauss-Seidel sweeps from the uniform vector; returns the last iterate,
     the sweeps run and whether they stopped on their rule.
@@ -455,26 +367,62 @@ def _solve_gauss_seidel(q: Generator, budget=None) -> tuple[np.ndarray, int, boo
     # u(y')_i - u(y)_i / total, and u(y') is what the next sweep starts
     # from.  The balance residual (``_balance``) divides that by y'_i.
     #
+    # Anderson acceleration (``Anderson``; Walker and Ni 2011) takes one
+    # sweep and the renormalization as the fixed-point map G.  Before a
+    # sweep, the mixer may move y to G's last image less a combination of
+    # the last few differences of images, the one that best cancels the
+    # residual f = G(x) - x.  u(y) is linear in y, so u of the mixed point is
+    # mixed the same way: y and u(y) lie side by side in z, and nothing is
+    # gathered again.  A mixed point with a negative or non-finite entry is
+    # not taken.  A sweep from a mixed point must lower ||f||_1 below the
+    # sweep before, or z goes back to the plain image the mixed point
+    # replaced, and the history is cleared (Zhang, O'Donoghue and Boyd
+    # 2020).  Extrapolation ends once a balance residual is at most ten
+    # times DEFAULT_TOL.  Every sweep ends on a plain image G(x) of a
+    # non-negative x, or on the image it went back to, so that is what the
+    # sweeps return.
+    #
     # The stop: the balance residual b falls by a rate r per sweep, and the
     # relative error left in pi is about b / (1 - r), so the sweeps stop once
-    # that is at most DEFAULT_TOL, with r measured over the last two sweeps.
-    # On a chain that mixes slowly, r is near 1, and a balance residual of
-    # DEFAULT_TOL alone would leave an error many times larger.
+    # that is at most DEFAULT_TOL.  On a chain that mixes slowly, r is near
+    # 1, and a balance residual of DEFAULT_TOL alone would leave an error many
+    # times larger.  r must be Gauss-Seidel's own rate, measured over two
+    # sweeps from plain images, so the test runs only when the last three
+    # sweeps started from plain images (the b two sweeps back is then that of
+    # a plain sweep too), and r is never taken below the rate that the last
+    # such pair showed before the latest mixed point: right after one, b has
+    # lost its slow part and falls faster than the error.  A mixed point can also land
+    # on b's rounding floor, where b stops falling and shows no rate; if b
+    # does not fall over two plain sweeps once extrapolation has ended, the
+    # sweeps start over, once, from the uniform vector and without it.
     order, levels, (upper, usrc, udst) = q.pattern.gs_plan
     n, out = order.size, q.out[order]
     uval = q.val[upper] / out[udst]
-    y = np.full(n, 1.0 / n)
-    inflow = np.bincount(udst, uval * y[usrc], minlength=n)
+    # y and its upper inflow side by side: the state that Anderson mixes
+    z = np.empty(2 * n)
+    y, inflow = z[:n], z[n:]
     cut = levels[0][1]
     head = y[:cut], inflow[:cut]
     levels = [
         (y[lo:hi], inflow[lo:hi], q.val[lower] / out[lo:hi][local], src, local)
         for lo, hi, lower, src, local in levels[1:]
     ]
-    sweep, stopped, older, old = 0, False, np.inf, np.inf
+    sweep, stopped, start, restarted = 0, False, True, False
     for limit in (DEFAULT_MAX_ITER,) if budget is None else budget:
         while sweep < limit and not stopped:
+            if start:  # from the uniform vector: at first, and once more unaccelerated
+                y[:] = 1.0 / n
+                inflow[:] = np.bincount(udst, uval * y[usrc], minlength=n)
+                mixer, accelerating, restarted = Anderson(z, n), not sweep, bool(sweep)
+                # plain: sweeps since the last one from a mixed point, that one
+                # included, starting at 3 so that the first sweeps are tested
+                # (with r = 0 while b two sweeps back is unknown); seen: the
+                # rate over the last two sweeps from plain images
+                older, old, plain, seen, prior = np.inf, np.inf, 3, 0.0, 0.0
             sweep += 1
+            if accelerating and mixer.begin():
+                plain, prior = 0, seen
+            plain += 1
             np.copyto(*head)
             for new, into, val, src, local in levels:
                 np.add(into, np.bincount(local, val * y[src]), out=new)
@@ -485,7 +433,14 @@ def _solve_gauss_seidel(q: Generator, budget=None) -> tuple[np.ndarray, int, boo
             update = np.bincount(udst, uval * y[usrc], minlength=n)
             balance = _balance(np.abs(update - inflow / total), y, y * out)
             inflow[:] = update
-            stopped = balance <= DEFAULT_TOL * (1.0 - math.sqrt(balance / older))
+            if accelerating:
+                # a sweep that went back leaves the image before it, and its b
+                balance = old if mixer.end() else balance
+                accelerating = balance > 10.0 * DEFAULT_TOL
+            rate = math.sqrt(balance / older) if older else 0.0
+            seen = rate if plain > 2 else seen
+            stopped = plain > 3 and balance <= DEFAULT_TOL * (1.0 - max(rate, prior))
+            start = plain > 2 and rate >= 1.0 and not (stopped or accelerating or restarted)
             older, old = old, balance
         if stopped:
             break
@@ -499,7 +454,9 @@ def _budget(p: _Pattern):
     solve would cost, estimated in microseconds from the structure alone.
 
     A sweep is priced as the one the constants were fitted to: five numpy
-    calls per level and ten more, and work on each of Q's entries.  The
+    calls per level and ten more, and work on each of Q's entries.  A sweep
+    now makes four calls a level, plus the extrapolation step's couple of
+    dozen, which the price leaves out, so each chain keeps its budget.  The
     direct solve takes a step of its per-state loop for each state, and two
     flops per window entry of each pivot's update.  Yields the sweeps that
     the per-state steps alone would cost, a lower bound, and then those that

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from spnperf import pubsub
-from spnperf.net import Place, SpnNet, Transition, SINGLE_SERVER
+from spnperf.net import INFINITE_SERVER, Place, SpnNet, Transition, SINGLE_SERVER
 
 
 def simple_net(places, transitions, arcs, inh_arcs=()):
@@ -129,8 +129,45 @@ def deadlock_net():
     )
 
 
-def random_rate_params(seed):
+def random_rate_params(seed, decades=1):
     """Default pub/sub populations and resources with every rate drawn from
-    10^U(-1, 1), in field order, from ``np.random.default_rng(seed)``."""
+    10^U(-decades, decades), in field order, from ``np.random.default_rng(seed)``."""
     rng = np.random.default_rng(seed)
-    return pubsub.PubSubParams(**{name: 10.0 ** rng.uniform(-1, 1) for name in pubsub._RATES})
+    return pubsub.PubSubParams(
+        **{name: 10.0 ** rng.uniform(-decades, decades) for name in pubsub._RATES}
+    )
+
+
+def closed_network_net(rates, kinds, n):
+    """A closed cyclic queueing network as an SPN: station i is place ``q{i}``,
+    and its service, transition ``s{i}`` at ``rates[i]`` with server semantics
+    ``kinds[i]``, moves a customer on to station i + 1, the last to the
+    first.  All n customers start at the first station."""
+    k = len(rates)
+    return simple_net(
+        [(f"q{i}", n if i == 0 else 0) for i in range(k)],
+        [(f"s{i}", rate, 0, kind) for i, (rate, kind) in enumerate(zip(rates, kinds))],
+        [
+            arc
+            for i in range(k)
+            for arc in ((f"q{i}", f"s{i}", "pre", 1), (f"q{(i + 1) % k}", f"s{i}", "post", 1))
+        ],
+    )
+
+
+def mva(rates, kinds, n):
+    """Exact mean value analysis (Reiser and Lavenberg 1980) of
+    ``closed_network_net(rates, kinds, n)``: each station's mean response
+    time and the throughput.  Every station is visited once a cycle; a
+    single server's response time is its service time times one plus the
+    mean queue an arriving customer finds, the queue of the network with one
+    customer fewer, and a delay station's is its service time alone."""
+    queue = [0.0] * len(rates)
+    for m in range(1, n + 1):
+        times = [
+            (1.0 if kind == INFINITE_SERVER else 1.0 + q) / rate
+            for rate, kind, q in zip(rates, kinds, queue)
+        ]
+        throughput = m / sum(times)
+        queue = [throughput * t for t in times]
+    return times, throughput

@@ -187,7 +187,7 @@ def test_every_tracer_reader_reads_a_real_result():
     records = run_loop([WorkloadSnapshot(1.0, 2, 2, 3)], PubSubParams(), MonitorPolicy(2.8, 3.7))
     results = {
         "explore": (ctmc, {"states": 1260, "edges": 6228}),
-        "steady_state": (steady_state(ctmc), {"method": "iterative", "iterations": 53}),
+        "steady_state": (steady_state(ctmc), {"method": "iterative", "iterations": 28}),
         "simulate_run": (simulate_run(net, 20.0, seed=0), {"firings": 86, "deadlocked": False}),
         "run_loop": (records, {"snapshots": 1, "actions": 1, "outcomes": ["compliant"]}),
     }

@@ -101,8 +101,14 @@ def test_default_calibration_headline_metrics():
     assert 0 < accept < notify
 
 
-# random-seed-1: the params of test_auto_falls_back_to_gth_on_a_random_rate_pubsub_chain
-@pytest.mark.parametrize("params", [PubSubParams(), random_rate_params(1)], ids=["default", "random-seed-1"])
+# random-seed-1: rates from 10^U(-1, 1), which Gauss-Seidel solves;
+# random-two-decades-seed-9: the params of
+# test_auto_falls_back_to_gth_on_a_random_rate_pubsub_chain, which GTH solves
+@pytest.mark.parametrize(
+    "params",
+    [PubSubParams(), random_rate_params(1), random_rate_params(9, decades=2)],
+    ids=["default", "random-seed-1", "random-two-decades-seed-9"],
+)
 def test_headline_times_are_little_quotients_of_their_places(params):
     # each time's population is its places' mean token counts added left to
     # right, so the times match to the bit

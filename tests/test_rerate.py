@@ -300,7 +300,7 @@ def test_sweep_rows_equal_analyze_of_each_point(tmp_path, capsys):
     "overrides, values, derived",
     [
         # 50 states: auto's Gauss-Seidel budget (12 sweeps) runs out before
-        # the 19-21 sweeps these points need, so auto falls back to the
+        # the 15-18 sweeps these points need, so auto falls back to the
         # direct solve, which needs the ordering, layout and envelope windows
         ({"n_publishers": 1, "n_subscribers": 1, "n_events": 1, "broker_capacity": 1,
           "broker_memory": 1, "received_event_capacity": 1}, "0.3,0.6,0.9,1.5,2.5,4",

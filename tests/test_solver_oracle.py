@@ -32,7 +32,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spnperf import solver
+from spnperf import graph, solver
 from spnperf.pubsub import PubSubParams, build_pubsub_net
 from spnperf.reachability import explore
 from spnperf.solver import ConvergenceError, steady_state
@@ -133,13 +133,15 @@ def test_pubsub_configurations_match_dense(overrides, n_states):
 
 
 def test_auto_falls_back_to_gth_on_a_random_rate_pubsub_chain():
-    # every rate drawn from 10^U(-1, 1) on the default structure: Gauss-Seidel
-    # mixes too slowly to stop within its budget (287 sweeps), so auto's
-    # answer is the direct solve's, bit for bit
-    ctmc = explore(build_pubsub_net(random_rate_params(1)))
+    # every rate drawn from 10^U(-2, 2) on the default structure: Gauss-Seidel
+    # mixes too slowly to stop within its budget (287 sweeps), accelerated or
+    # not (some 735 and 7,269 sweeps), so auto's answer is the direct
+    # solve's, bit for bit
+    ctmc = explore(build_pubsub_net(random_rate_params(9, decades=2)))
     assert ctmc.n_states == 1260
+    *_, budget = solver._budget(solver.generator(ctmc).pattern)
     dist = steady_state(ctmc)
-    assert dist.method == "direct"
+    assert (dist.method, dist.iterations) == ("direct", budget) == ("direct", 287)
     assert np.array_equal(dist.probabilities, steady_state(ctmc, method="direct").probabilities)
     assert_componentwise(dist.probabilities, dense_gth(generator_matrix(ctmc)))
 
@@ -271,7 +273,7 @@ def test_residual_matches_dense_pi_q_on_random_chains(net):
 def numpy_rcm(ctmc):
     """The solver's reverse Cuthill-McKee order and Q's half-bandwidth in it."""
     pattern = solver.generator(ctmc).pattern
-    perm = solver._reverse_cuthill_mckee(pattern)
+    perm = graph._reverse_cuthill_mckee(pattern)
     at = np.empty(ctmc.n_states, dtype=np.int64)
     at[perm] = np.arange(ctmc.n_states)
     return perm, int(np.abs(at[pattern.row] - at[pattern.col]).max())
@@ -483,10 +485,11 @@ def test_gauss_seidel_on_an_underflowing_tail_matches_log_space_closed_form(lam,
 
 # -- Gauss-Seidel against a sweep loop that re-solves its triangle ------------
 
-def reference_gauss_seidel(q, tol):
-    """Gauss-Seidel as the solver first ran it: each sweep solves the lower
-    triangle of Q^T afresh.  It stops on the balance residual b of pi Q once
-    b / (1 - r) <= tol, with r = (b / b two sweeps before)^(1/2)."""
+def reference_gauss_seidel(q, tol, sweeps=solver.DEFAULT_MAX_ITER):
+    """Gauss-Seidel as the solver first ran it, without acceleration: each
+    sweep solves the lower triangle of Q^T afresh.  It stops on the balance
+    residual b of pi Q once b / (1 - r) <= tol, with r = (b / b two sweeps
+    before)^(1/2), or after ``sweeps`` sweeps; returns pi and the sweeps."""
     n = q.shape[0]
     out = -q.diagonal()
     a = scipy.sparse.csr_matrix(q.T)
@@ -494,17 +497,44 @@ def reference_gauss_seidel(q, tol):
     upper = scipy.sparse.triu(a, k=1, format="csr")
     x = np.full(n, 1.0 / n)
     history = [np.inf, np.inf]
-    for sweep in range(1, solver.DEFAULT_MAX_ITER + 1):
+    for sweep in range(1, sweeps + 1):
         rhs = -(upper @ x)
         x = scipy.sparse.linalg.spsolve_triangular(lower, rhs, lower=True)
         x = x / x.sum()
         flow = x * out
         counted = flow > solver.BALANCE_FLOOR
         b = (np.abs(x @ q)[counted] / flow[counted]).max()
-        if b <= tol * (1.0 - np.sqrt(b / history[-2])):
+        if b <= tol * (1.0 - np.sqrt(b / history[-2])) or sweep == sweeps:
             return x, sweep
         history.append(b)
     raise AssertionError("the reference did not converge")
+
+
+def assert_gauss_seidel_matches_the_reference(ctmc, sweeps, dense=True):
+    """The solver's first two sweeps, which no extrapolation precedes, are
+    the reference's two sweeps; accelerated, it stops after ``sweeps``
+    sweeps, fewer than the reference, on the reference's fixed point and
+    dense GTH's.  Returns the reference's sweeps.
+
+    Each run stops within about DEFAULT_TOL of pi, and two different paths
+    can stop on opposite sides of it, so the fixed point is the reference
+    run to a hundredth of DEFAULT_TOL."""
+    q = generator_matrix(ctmc)
+    two, _ = reference_gauss_seidel(q, 0.0, sweeps=2)
+    pi, iterations, stopped = solver._solve_gauss_seidel(solver.generator(ctmc), iter([2]))
+    assert (iterations, stopped) == (2, False)
+    assert_componentwise(pi, two)
+    _, plain = reference_gauss_seidel(q, solver.DEFAULT_TOL)
+    expected, _ = reference_gauss_seidel(q, solver.DEFAULT_TOL / 100)
+    pi, iterations, stopped = solver._solve_gauss_seidel(solver.generator(ctmc))
+    assert stopped and iterations == sweeps < plain
+    assert_componentwise(pi, expected)
+    if dense:
+        assert_componentwise(pi, dense_gth(q))
+    dist = steady_state(ctmc)
+    assert (dist.method, dist.iterations) == ("iterative", sweeps)
+    assert_componentwise(dist.probabilities, expected)
+    return plain
 
 
 @pytest.mark.parametrize(
@@ -514,29 +544,58 @@ def reference_gauss_seidel(q, tol):
 )
 def test_gauss_seidel_matches_the_per_sweep_triangular_solve(overrides, n_states):
     # the three monitor-trace chains too large for auto's direct fallback,
-    # and a larger one
+    # and a larger one; dense GTH would take seconds at 3,900 states and
+    # 794 MiB at 10,200, so the reference alone checks their fixed point
     ctmc = explore(build_pubsub_net(PubSubParams(**overrides)))
     assert ctmc.n_states == n_states
     assert 8 * n_states**2 > solver.DIRECT_MAX_BYTES
-    q = generator_matrix(ctmc)
-    expected, sweeps = reference_gauss_seidel(q, solver.DEFAULT_TOL)
-    pi, iterations, stopped = solver._solve_gauss_seidel(solver.generator(ctmc))
-    assert stopped and iterations == sweeps
-    assert_componentwise(pi, expected)
-    dist = steady_state(ctmc)
-    assert (dist.method, dist.iterations) == ("iterative", sweeps)
-    assert_componentwise(dist.probabilities, expected)
+    # plain Gauss-Seidel takes 57-72 sweeps on these chains
+    accelerated = {2100: 31, 3900: 33, 10200: 43}[n_states]
+    assert_gauss_seidel_matches_the_reference(ctmc, accelerated, dense=n_states <= 2100)
 
 
 @pytest.mark.parametrize("r_pub_qos, sweeps", [(0.25, 40), (1.0, 53), (4.0, 66)])
 def test_gauss_seidel_matches_the_per_sweep_triangular_solve_across_a_rate_sweep(
     r_pub_qos, sweeps
 ):
-    # the default structure, as the rate sweep solves it at three of its rates
+    # the default structure, as the rate sweep solves it at three of its
+    # rates: plain Gauss-Seidel takes ``sweeps``, accelerated about half
     ctmc = explore(build_pubsub_net(PubSubParams(r_pub_qos=r_pub_qos)))
-    expected, reference_sweeps = reference_gauss_seidel(
-        generator_matrix(ctmc), solver.DEFAULT_TOL
-    )
-    pi, iterations, stopped = solver._solve_gauss_seidel(solver.generator(ctmc))
-    assert stopped and iterations == reference_sweeps == sweeps
-    assert_componentwise(pi, expected)
+    accelerated = {0.25: 26, 1.0: 28, 4.0: 28}[r_pub_qos]
+    assert assert_gauss_seidel_matches_the_reference(ctmc, accelerated) == sweeps
+
+
+# -- Anderson acceleration ---------------------------------------------------
+
+@pytest.mark.parametrize(
+    "decades, seed, plain, accelerated",
+    [
+        (1, 1, 348, 139), (1, 2, 105, 40), (1, 3, 264, 93), (1, 4, 169, 49), (1, 5, 197, 56),
+        (2, 1, 688, 202), (2, 2, 135, 38), (2, 3, 733, 208), (2, 4, 586, 57), (2, 5, 747, 93),
+    ],
+)
+def test_anderson_acceleration_on_random_rate_pubsub_chains(decades, seed, plain, accelerated):
+    # every rate drawn from 10^U(-decades, decades) on the default structure:
+    # accelerated Gauss-Seidel needs fewer sweeps than plain, and its answer
+    # keeps balance-stopped Gauss-Seidel's accuracy against dense GTH
+    ctmc = explore(build_pubsub_net(random_rate_params(seed, decades)))
+    q = generator_matrix(ctmc)
+    _, reference = reference_gauss_seidel(q, solver.DEFAULT_TOL)
+    pi, sweeps, stopped = solver._solve_gauss_seidel(solver.generator(ctmc))
+    assert stopped and (reference, sweeps) == (plain, accelerated) and sweeps < plain
+    assert_componentwise(pi, dense_gth(q), GS_RTOL)
+
+
+def test_the_residual_safeguard_keeps_anderson_acceleration_on_track():
+    # a nine-state walk on which extrapolated points, taken whether or not
+    # the sweep from them lowers ||G(x) - x||_1, wander: pi's error is still
+    # 0.7 after 100 sweeps and 2e-2 after 1,000.  Going back to the last
+    # plain image whenever it does not fall, the sweeps stop after 20.
+    ctmc = explore(walk_net({
+        (0, 3): 1.0, (1, 6): 1.3, (2, 0): 1.0, (3, 1): 1.0, (3, 4): 0.0033, (3, 5): 120.0,
+        (4, 7): 36.0, (5, 4): 1.0, (6, 8): 1.0, (7, 1): 0.041, (8, 2): 1.0,
+    }))
+    assert ctmc.n_states == 9
+    pi, sweeps, stopped = solver._solve_gauss_seidel(solver.generator(ctmc), (100,))
+    assert (sweeps, stopped) == (20, True)
+    assert_componentwise(pi, dense_gth(generator_matrix(ctmc)), GS_RTOL)
