@@ -4,7 +4,8 @@ Each workload snapshot overwrites the model populations; the model is then
 solved and the headline response times compared against operator
 thresholds.  While thresholds are violated, factor-strengthening actions
 are applied in policy order and the model re-evaluated, up to a per-snapshot
-action budget.  Adjusted factors persist across snapshots.
+action budget.  Every action maps params to params, the QoS level included,
+and adjusted factors persist across snapshots.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 from .net import AnalysisError, is_count, is_real
 from .pubsub import (
     NETWORK_BUFFERS,
-    QOS_LEVEL_RATE_FACTOR,
     RESPONSE_TIMES,
     PubSubParams,
     build_pubsub_net,
@@ -65,12 +65,6 @@ class WorkloadSnapshot:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _check_qos_level(name: str, level) -> None:
-    # a whole number, and no bool: True would be lowered to level 0
-    if not (is_count(level) and level in QOS_LEVEL_RATE_FACTOR):
-        raise ValueError(f"{name} must be one of {sorted(QOS_LEVEL_RATE_FACTOR)}, got {level!r}")
-
-
 @dataclass(frozen=True)
 class MonitorPolicy:
     """Thresholds, action ordering and resource caps for the optimizer."""
@@ -82,7 +76,6 @@ class MonitorPolicy:
     qos_reduction_allowed: bool = False
     caps: dict = field(default_factory=lambda: dict(_DEFAULT_CAPS))
     max_actions_per_snapshot: int = 10
-    initial_qos_level: int = 1
 
     def __post_init__(self):
         order = self.action_order
@@ -111,7 +104,6 @@ class MonitorPolicy:
             raise ValueError(
                 f"qos_reduction_allowed must be a boolean, got {self.qos_reduction_allowed!r}"
             )
-        _check_qos_level("initial_qos_level", self.initial_qos_level)
         if not isinstance(self.caps, dict):
             raise ValueError(f"caps must be an object of integers, got {self.caps!r}")
         unknown = set(self.caps) - set(_DEFAULT_CAPS)
@@ -191,47 +183,36 @@ def detect_degradation(report: MetricsReport, policy: MonitorPolicy) -> list[str
     return violations
 
 
-def next_action(
-    params: PubSubParams,
-    policy: MonitorPolicy,
-    qos_level: int | None = None,
-) -> str | None:
+def next_action(params: PubSubParams, policy: MonitorPolicy) -> str | None:
     """First applicable action in policy order, or ``None`` when exhausted.
 
-    A growth action applies while any of its factors is below its cap.
+    A growth action applies while any of its factors is below its cap, and
+    lowering the QoS level while the policy allows it and the level is above 0.
     """
-    if qos_level is None:
-        qos_level = policy.initial_qos_level
-    _check_qos_level("qos_level", qos_level)
     for action in policy.action_order:
         if action == LOWER_QOS_LEVEL:
-            if policy.qos_reduction_allowed and qos_level > 0:
+            if policy.qos_reduction_allowed and params.qos_level > 0:
                 return action
         elif any(getattr(params, f) < policy.caps[f] for f in _GROWS[action]):
             return action
     return None
 
 
-def apply_action(
-    params: PubSubParams, policy: MonitorPolicy, action: str, qos_level: int
-) -> tuple[PubSubParams, int]:
+def apply_action(params: PubSubParams, policy: MonitorPolicy, action: str) -> PubSubParams:
     """Apply one action: integer factors below their cap multiply by ``step``
     (clamped to the cap), and a factor at or above it stays; lowering the QoS
-    level raises the QoS processing rate one step."""
-    _check_qos_level("qos_level", qos_level)
+    level takes ``qos_level`` one down."""
     if action == LOWER_QOS_LEVEL:
-        if qos_level <= 0:
+        if params.qos_level <= 0:
             raise ValueError("QoS level is already at its minimum")
-        new_level = qos_level - 1
-        new_rate = params.r_pub_qos * QOS_LEVEL_RATE_FACTOR[new_level] / QOS_LEVEL_RATE_FACTOR[qos_level]
-        return set_factor(params, "r_pub_qos", new_rate), new_level
+        return dataclasses.replace(params, qos_level=params.qos_level - 1)
     if action not in _GROWS:
         raise ValueError(f"unknown action {action!r}")
     for factor in _GROWS[action]:
         value, cap = getattr(params, factor), policy.caps[factor]
         if value < cap:
             params = set_factor(params, factor, min(value * policy.step, cap))
-    return params, qos_level
+    return params
 
 
 def run_loop(
@@ -251,7 +232,6 @@ def run_loop(
     adjustments persist across snapshots.
     """
     records, held = [], []
-    qos_level = policy.initial_qos_level
     for snap in trace:
         candidate = dataclasses.replace(
             params,
@@ -261,18 +241,17 @@ def run_loop(
         )
         before = None
         actions = []
-        cand_level = qos_level
         try:
             before = report = evaluate(candidate, max_states, held)
             while detect_degradation(report, policy):
-                action = next_action(candidate, policy, cand_level)
+                action = next_action(candidate, policy)
                 if action is None:
                     reason = NO_ACTION_LEFT
                     break
                 if len(actions) >= policy.max_actions_per_snapshot:
                     reason = ACTION_BUDGET_SPENT
                     break
-                candidate, cand_level = apply_action(candidate, policy, action, cand_level)
+                candidate = apply_action(candidate, policy, action)
                 actions.append(action)
                 report = evaluate(candidate, max_states, held)
             else:  # no threshold is violated
@@ -281,5 +260,5 @@ def run_loop(
             reason, report = EVALUATION_FAILED, None
         records.append(DecisionRecord(snap.timestamp, before, report, tuple(actions), reason))
         if reason != EVALUATION_FAILED:
-            params, qos_level = candidate, cand_level
+            params = candidate
     return records

@@ -32,14 +32,16 @@ NETWORK_BUFFERS = ("net_recv_buffer", "net_send_buffer")
 
 #: The sweepable factors, which ``set_factor`` sets: ``PubSubParams`` fields,
 #: and ``network_buffer``, which sets both network buffers to one value.  The
-#: monitor's actions adjust only the buffers, the broker memory and ``r_pub_qos``.
+#: monitor's actions adjust only the buffers, the broker memory and
+#: ``qos_level``, which is no sweep factor.
 FACTOR_NAMES = (
     "network_buffer", *NETWORK_BUFFERS, "broker_memory", "broker_capacity",
     "received_event_capacity", "r_pub_qos",
 )
 
-#: QoS level -> multiplier applied to the base QoS processing rate.
-#: Lower levels mean less delivery bookkeeping, hence faster processing.
+#: QoS level -> multiplier applied to the base QoS processing rate, the
+#: level-1 rate ``r_pub_qos``.  Lower levels mean less delivery bookkeeping,
+#: hence faster processing.
 QOS_LEVEL_RATE_FACTOR = {0: 4.0, 1: 1.0, 2: 0.5}
 
 
@@ -49,6 +51,8 @@ class PubSubParams:
 
     The defaults are the toolkit's calibration: small enough for desk-scale
     exact analysis, with the network buffers acting as the bottleneck.
+    ``qos_level`` is a key of ``QOS_LEVEL_RATE_FACTOR``; ``build_pubsub_net``
+    alone turns it into the QoS processing rate.
     """
 
     n_publishers: int = 2
@@ -60,6 +64,7 @@ class PubSubParams:
     net_recv_buffer: int = 1
     net_send_buffer: int = 1
     received_event_capacity: int = 2
+    qos_level: int = 1
     r_connect_pub: float = 1.0
     r_connect_sub: float = 1.0
     r_accept_conn: float = 5.0
@@ -78,7 +83,12 @@ class PubSubParams:
         # postponed annotations keep as a string
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
-            if f.type == "int":
+            if f.name == "qos_level":
+                if not (is_count(v) and v in QOS_LEVEL_RATE_FACTOR):
+                    raise ValueError(
+                        f"qos_level must be one of {sorted(QOS_LEVEL_RATE_FACTOR)}, got {v!r}"
+                    )
+            elif f.type == "int":
                 if not (is_count(v) and v >= 1):
                     raise ValueError(f"{f.name} must be a positive integer, got {v!r}")
             elif not (is_real(v) and v > 0.0 and np.isfinite(v)):
@@ -159,7 +169,10 @@ def build_pubsub_net(params: PubSubParams) -> SpnNet:
             pre[pidx[p], j] += 1
         for p in outputs:
             post[pidx[p], j] += 1
-        transitions.append(Transition(name, getattr(params, rate_field), 0, semantics))
+        rate = getattr(params, rate_field)
+        if rate_field == "r_pub_qos":
+            rate *= QOS_LEVEL_RATE_FACTOR[params.qos_level]
+        transitions.append(Transition(name, rate, 0, semantics))
     return SpnNet(places, tuple(transitions), pre, post)
 
 

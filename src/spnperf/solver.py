@@ -453,10 +453,8 @@ def _budget(p: _Pattern):
     """``auto``'s budget for Gauss-Seidel: about as many sweeps as the direct
     solve would cost, estimated in microseconds from the structure alone.
 
-    A sweep is priced as the one the constants were fitted to: five numpy
-    calls per level and ten more, and work on each of Q's entries.  A sweep
-    now makes four calls a level, plus the extrapolation step's couple of
-    dozen, which the price leaves out, so each chain keeps its budget.  The
+    A sweep is priced at five numpy calls per level and ten more, and work
+    on each of Q's entries; the price leaves out the extrapolation step.  The
     direct solve takes a step of its per-state loop for each state, and two
     flops per window entry of each pivot's update.  Yields the sweeps that
     the per-state steps alone would cost, a lower bound, and then those that

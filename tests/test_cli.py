@@ -680,6 +680,27 @@ def test_params_net_and_simulate_print_the_same_analytic_values(tmp_path, params
     assert {name: entry["analytic"] for name, entry in metrics.items()} == expected
 
 
+def test_export_net_at_qos_level_0_carries_four_times_r_pub_qos(tmp_path, capsys):
+    # the QoS level becomes a rate in build_pubsub_net alone, so the exported
+    # net solves to what its params document does
+    params_path = write_doc(
+        tmp_path, files.params_to_document(PubSubParams(qos_level=0, r_pub_qos=1.3))
+    )
+    code, by_params, _ = run_cli(capsys, "analyze", params_path)
+    assert code == 0
+    code, exported, _ = run_cli(capsys, "export-net", params_path)
+    assert code == 0
+    rates = {t["name"]: t["rate"] for t in json.loads(exported)["transitions"]}
+    assert rates["pubQoSProcessing"] == 4 * 1.3
+    net_path = tmp_path / "net.json"
+    net_path.write_text(exported)
+    code, by_net, _ = run_cli(capsys, "analyze", str(net_path))
+    assert code == 0
+    by_params, by_net = json.loads(by_params), json.loads(by_net)
+    for key in ("transition_throughputs", "mean_tokens", "states", "residual"):
+        assert by_net[key] == by_params[key], key
+
+
 # -- JSON types in every loader -------------------------------------------
 
 def write_doc(tmp_path, doc):
@@ -790,6 +811,7 @@ def refuse_evaluation(monkeypatch):
         ({"max_notification_response_time": -1.0}, "max_notification_response_time"),
         ({"qos_reduction_allowed": "no"}, "qos_reduction_allowed"),
         ({"qos_reduction_allowed": 1}, "qos_reduction_allowed"),
+        # the QoS level is a params value, so a policy naming it is refused
         ({"initial_qos_level": 5}, "initial_qos_level"),
         ({"initial_qos_level": 1.0}, "initial_qos_level"),
     ],
@@ -813,19 +835,21 @@ def test_policy_values_are_refused_before_evaluation(
     assert key in err
 
 
-def test_policy_bounds_still_load(tmp_path, params_file, capsys):
-    # zero and infinite thresholds, a cap of 1 and QoS level 0 are all legal
+def test_policy_bounds_still_load(tmp_path, capsys):
+    # zero and infinite thresholds, a cap of 1 and QoS level 0 (a params
+    # value) are all legal
     doc = {
         "max_accept_publication_response_time": 0,
         "max_notification_response_time": float("inf"),
         "qos_reduction_allowed": False,
         "caps": {"net_recv_buffer": 1, "net_send_buffer": 1, "broker_memory": 1},
-        "initial_qos_level": 0,
     }
     policy = files.policy_from_document(doc)
     assert policy.caps == doc["caps"]
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(files.params_to_document(PubSubParams(qos_level=0))))
     trace = write_trace(tmp_path, [{"t": 1.0, "publishers": 2, "subscribers": 2, "events": 3}])
-    code, out, _ = run_cli(capsys, "monitor", trace, params_file, write_doc(tmp_path, doc))
+    code, out, _ = run_cli(capsys, "monitor", trace, str(params_path), write_doc(tmp_path, doc))
     assert code == 0
     assert json.loads(out)["outcome"] == "exhausted_actions"
 

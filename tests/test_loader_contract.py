@@ -28,8 +28,11 @@ from nets import mm1k_net
 
 POOL = (True, False, 2.5, -1, 0, "x", None, [], {}, math.nan, math.inf)
 
-#: 60 states: the monitor evaluates it within --max-states 64
-SMALL_PARAMS = PubSubParams(n_publishers=1, n_subscribers=1, n_events=1, broker_capacity=2)
+#: 60 states: the monitor evaluates it within --max-states 64; at QoS level
+#: 2 the policy's lower_qos_level applies
+SMALL_PARAMS = PubSubParams(
+    n_publishers=1, n_subscribers=1, n_events=1, broker_capacity=2, qos_level=2
+)
 
 
 def valid_documents():
@@ -44,7 +47,6 @@ def valid_documents():
             "qos_reduction_allowed": True,
             "caps": {"net_recv_buffer": 4, "net_send_buffer": 4, "broker_memory": 4},
             "max_actions_per_snapshot": 2,
-            "initial_qos_level": 1,
         },
         "trace": {"t": 1.0, "publishers": 1, "subscribers": 1, "events": 1},
     }
@@ -98,10 +100,7 @@ def check_counts(kind, model):
                 assert is_count(getattr(model, f.name))
     elif kind == "policy":
         assert all(is_count(v) for v in model.caps.values())
-        assert all(
-            is_count(v)
-            for v in (model.step, model.max_actions_per_snapshot, model.initial_qos_level)
-        )
+        assert all(is_count(v) for v in (model.step, model.max_actions_per_snapshot))
     else:
         assert isinstance(model.timestamp, float)
         assert all(is_count(v) for v in (model.n_publishers, model.n_subscribers, model.n_events))

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from spnperf import monitor
+from spnperf import files, monitor
 from spnperf.monitor import (
     ACTION_BUDGET_SPENT,
     COMPLIANT,
@@ -24,6 +24,7 @@ from spnperf.monitor import (
 from spnperf.pubsub import RESPONSE_TIMES, PubSubParams
 from spnperf.reachability import explore
 from spnperf.solver import MetricsReport
+from test_pubsub import qos_rate
 
 # thresholds frozen between the buffer=1 evaluation (accept 2.9239,
 # notify 3.8813) and the buffer=10 evaluation (accept 2.6723, notify 3.5866)
@@ -116,52 +117,55 @@ def test_next_action_exhausted():
 def test_qos_action_gated_by_flag_and_level():
     caps = {"net_recv_buffer": 1, "net_send_buffer": 1, "broker_memory": 2}
     allowed = MonitorPolicy(1.0, 1.0, caps=caps, qos_reduction_allowed=True)
-    assert next_action(PubSubParams(), allowed, qos_level=1) == LOWER_QOS_LEVEL
-    assert next_action(PubSubParams(), allowed, qos_level=0) is None
+    assert next_action(PubSubParams(qos_level=1), allowed) == LOWER_QOS_LEVEL
+    assert next_action(PubSubParams(qos_level=0), allowed) is None
 
 
 def test_apply_action_grows_and_never_shrinks():
     params = PubSubParams()
     policy = MonitorPolicy(1.0, 1.0, step=2)
-    grown, level = apply_action(params, policy, GROW_NETWORK_BUFFERS, 1)
+    grown = apply_action(params, policy, GROW_NETWORK_BUFFERS)
     assert (grown.net_recv_buffer, grown.net_send_buffer) == (2, 2)
-    grown, level = apply_action(grown, policy, GROW_BROKER_MEMORY, level)
+    grown = apply_action(grown, policy, GROW_BROKER_MEMORY)
     assert grown.broker_memory == 4
-    grown, level = apply_action(grown, policy, LOWER_QOS_LEVEL, level)
-    assert level == 0
-    assert grown.r_pub_qos == pytest.approx(4.0)  # lower level, faster processing
+    grown = apply_action(grown, policy, LOWER_QOS_LEVEL)
+    assert grown.qos_level == 0
+    assert grown.r_pub_qos == params.r_pub_qos  # the level-1 base rate stays
+    assert qos_rate(grown) == 4.0 * qos_rate(params)  # lower level, faster processing
 
 
 def test_apply_action_refuses_a_qos_level_below_0_and_an_unknown_action():
     policy = MonitorPolicy(1.0, 1.0)
     with pytest.raises(ValueError, match="^QoS level is already at its minimum$"):
-        apply_action(PubSubParams(), policy, LOWER_QOS_LEVEL, 0)
+        apply_action(PubSubParams(qos_level=0), policy, LOWER_QOS_LEVEL)
     with pytest.raises(ValueError, match="^unknown action 'shrink'$"):
-        apply_action(PubSubParams(), policy, "shrink", 1)
-    # a level outside 0-2, a fraction or a bool is no QoS level, whatever the action
+        apply_action(PubSubParams(), policy, "shrink")
+    # a level outside 0-2, a fraction or a bool is no QoS level: params
+    # refuse it, so no action ever sees it
     for level in (3, 1.5, True):
         for action in (LOWER_QOS_LEVEL, GROW_BROKER_MEMORY):
             with pytest.raises(ValueError, match=r"^qos_level must be one of \[0, 1, 2\], got "):
-                apply_action(PubSubParams(), policy, action, level)
+                apply_action(PubSubParams(qos_level=level), policy, action)
 
 
 @pytest.mark.parametrize("level", [3, 7, 1.5, True, -1])
 def test_next_action_refuses_an_unknown_qos_level(level):
+    # the level is a model factor, checked where params are built or replaced
     policy = MonitorPolicy(1.0, 1.0, qos_reduction_allowed=True)
     with pytest.raises(ValueError, match=r"^qos_level must be one of \[0, 1, 2\], got "):
-        next_action(PubSubParams(), policy, level)
+        next_action(dataclasses.replace(PubSubParams(), qos_level=level), policy)
 
 
 def test_apply_action_clamps_to_cap():
     policy = MonitorPolicy(1.0, 1.0, step=8, caps={"broker_memory": 5})
-    grown, _ = apply_action(PubSubParams(), policy, GROW_BROKER_MEMORY, 1)
+    grown = apply_action(PubSubParams(), policy, GROW_BROKER_MEMORY)
     assert grown.broker_memory == 5
 
 
 def test_apply_action_never_shrinks_a_factor_above_its_cap():
     # the receive buffer starts above its cap and stays; the send buffer grows
     policy = MonitorPolicy(1.0, 1.0, step=2, caps={"net_recv_buffer": 4, "net_send_buffer": 4})
-    grown, _ = apply_action(PubSubParams(net_recv_buffer=8), policy, GROW_NETWORK_BUFFERS, 1)
+    grown = apply_action(PubSubParams(net_recv_buffer=8), policy, GROW_NETWORK_BUFFERS)
     assert (grown.net_recv_buffer, grown.net_send_buffer) == (8, 2)
 
 
@@ -271,9 +275,9 @@ def test_run_loop_adjustments_persist_across_snapshots():
 
 
 def test_lowering_the_qos_level_rerates_the_explored_chain(monkeypatch):
-    # lower_qos_level changes only r_pub_qos: the snapshot explores its
-    # structure once, re-rates it for the action's evaluation, and decides
-    # as it does when every evaluation explores afresh
+    # lower_qos_level changes only the QoS processing rate: the snapshot
+    # explores its structure once, re-rates it for the action's evaluation,
+    # and decides as it does when every evaluation explores afresh
     policy = MonitorPolicy(
         0.0, 0.0, action_order=(LOWER_QOS_LEVEL,), qos_reduction_allowed=True
     )
@@ -357,19 +361,29 @@ def test_policy_validation():
         ({"step": True}, "step"),
         ({"max_actions_per_snapshot": 1.5}, "max_actions_per_snapshot"),
         ({"max_actions_per_snapshot": True}, "max_actions_per_snapshot"),
+        # the QoS level is a params value: a policy that carries one is refused
         ({"initial_qos_level": 1.0}, "initial_qos_level"),
         ({"initial_qos_level": True}, "initial_qos_level"),
         ({"caps": {"broker_memory": 2.5}}, "caps"),
         ({"caps": {"net_recv_buffer": True}}, "caps"),
         # a step of 1 grows nothing: each growth action would re-solve the same model
         ({"step": 1}, "step"),
+        ({"step": "2"}, "step"),
+        ({"max_actions_per_snapshot": 2.0}, "max_actions_per_snapshot"),
     ],
 )
 def test_policy_counts_must_be_integers(overrides, field_name):
     # a fractional cap used to be truncated by set_factor, so the monitor
-    # spent its whole action budget growing broker memory by nothing
-    with pytest.raises(ValueError, match=field_name):
-        MonitorPolicy(0.0, 0.0, **overrides)
+    # spent its whole action budget growing broker memory by nothing; the
+    # policy document's loader passes every value to MonitorPolicy, whose
+    # ValueError it reports
+    doc = {
+        "max_accept_publication_response_time": 0.0,
+        "max_notification_response_time": 0.0,
+        **overrides,
+    }
+    with pytest.raises(files.FormatError, match=field_name):
+        files.policy_from_document(doc)
 
 
 def test_policy_refuses_a_repeated_action():

@@ -199,14 +199,24 @@ def test_set_factor_mirrors_memory_experiment():
     assert params.broker_memory == 10
 
 
+def qos_rate(params):
+    """The QoS processing rate of the net that ``params`` build."""
+    net = build_pubsub_net(params)
+    return net.transitions[TRANSITION_NAMES.index("pubQoSProcessing")].rate
+
+
 def test_lowering_the_qos_level_doubles_then_quadruples_r_pub_qos():
     # the QoS rate factors of levels 2, 1 and 0 are 0.5, 1 and 4, powers of
-    # two, so each step scales r_pub_qos exactly
+    # two, so each step scales the net's QoS processing rate exactly; at
+    # level 2 the level-1 base rate 2 * 1.3 gives the net 1.3
     policy = MonitorPolicy(1.0, 1.0)
-    once, level = apply_action(PubSubParams(r_pub_qos=1.3), policy, LOWER_QOS_LEVEL, 2)
-    assert (once.r_pub_qos, level) == (2 * 1.3, 1)
-    twice, level = apply_action(once, policy, LOWER_QOS_LEVEL, level)
-    assert (twice.r_pub_qos, level) == (4 * (2 * 1.3), 0)
+    start = PubSubParams(r_pub_qos=2 * 1.3, qos_level=2)
+    assert qos_rate(start) == 1.3
+    once = apply_action(start, policy, LOWER_QOS_LEVEL)
+    assert (qos_rate(once), once.qos_level) == (2 * 1.3, 1)
+    twice = apply_action(once, policy, LOWER_QOS_LEVEL)
+    assert (qos_rate(twice), twice.qos_level) == (4 * (2 * 1.3), 0)
+    assert twice.r_pub_qos == start.r_pub_qos
 
 
 def test_boundedness_via_invariants():
@@ -240,10 +250,15 @@ def test_a_bool_rate_is_refused():
 def test_every_field_is_checked(field):
     # the kind comes from the default value, not from the annotation that
     # PubSubParams reads, so a change in how annotations are kept shows here
-    if isinstance(getattr(PubSubParams(), field.name), int):
-        bad, kind = (0, 2.5, True), "positive integer"
+    if field.name == "qos_level":
+        # a key of QOS_LEVEL_RATE_FACTOR, 0 included, and a count: no
+        # fraction, not even 1.0, and no bool, which True would lower to 0
+        assert [PubSubParams(qos_level=level).qos_level for level in (0, 1, 2)] == [0, 1, 2]
+        bad, kind = (-1, 3, 1.0, 1.5, True), r"one of \[0, 1, 2\]"
+    elif isinstance(getattr(PubSubParams(), field.name), int):
+        bad, kind = (0, 2.5, True), "a positive integer"
     else:
-        bad, kind = (0.0, -1.0, float("nan"), float("inf"), True), "positive rate"
+        bad, kind = (0.0, -1.0, float("nan"), float("inf"), True), "a positive rate"
     for value in bad:
-        with pytest.raises(ValueError, match=f"^{field.name} must be a {kind}, got"):
+        with pytest.raises(ValueError, match=f"^{field.name} must be {kind}, got"):
             PubSubParams(**{field.name: value})
